@@ -31,6 +31,7 @@ from .metrics import (
     fine_grained,
     iaa_report,
     novel_predicate_recall,
+    pair_by_id,
     score_corpus,
     smatch,
     smatch_exact,

@@ -19,11 +19,12 @@ import click
 from . import __version__
 from .codec import read_corpus, write_corpus
 from .convert import (
-    MODES,
+    MODE_PASSES,
     ConversionConfig,
+    convert_corpus,
+    doc_id,
     read_id_list,
     split_corpus,
-    convert_corpus,
 )
 from .frames import catalog_stats, ftag_by_arg, load_catalog, vnrole_by_arg
 from .graph import GraphError
@@ -34,6 +35,7 @@ from .metrics import (
     corpus_stats,
     iaa_batch_score,
     iaa_report,
+    pair_by_id,
     score_corpus,
 )
 from .rules import REIFIED_OVERRIDES, RuleError, compile_rules, load_overrides, map_catalog
@@ -94,12 +96,11 @@ def main() -> None:
 @click.option("--on-unmapped", type=click.Choice(["drop", "flag"]), default="flag", show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="Write the conversion report here.")
-@click.option("--jobs", type=int, default=1, show_default=True)
 def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_unmapped,
-            report_path, jobs):
+            report_path):
     """Trim and convert a corpus into the selected scheme."""
     mode_name = CLI_MODES[mode]
-    relabel = mode_name in ("wiser", "wiser_with_wsd")
+    relabel = MODE_PASSES[mode_name][0]
     if relabel and not catalog:
         raise click.UsageError(f"--mode {mode} relabels numbered arguments and needs --catalog")
 
@@ -122,7 +123,7 @@ def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_u
             on_unmapped="drop_sentence" if on_unmapped == "drop" else "keep_numbered_and_flag",
             **kwargs,
         )
-        converted, report = convert_corpus(corpus, cat, config, jobs=jobs)
+        converted, report = convert_corpus(corpus, cat, config)
         write_corpus(converted, output_corpus)
         if report_path:
             Path(report_path).write_text(report.to_text(), encoding="utf-8")
@@ -138,29 +139,6 @@ def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_u
     click.echo(f"wrote {len(converted)} of {len(corpus)} documents to {output_corpus}")
 
 
-def _pair_corpora(pred, gold):
-    pred_ids = [g.metadata.get("id") for g in pred]
-    gold_ids = [g.metadata.get("id") for g in gold]
-    if all(pred_ids) and all(gold_ids):
-        by_id = {i: g for i, g in zip(pred_ids, pred)}
-        if len(by_id) != len(pred):
-            raise ValueError("duplicate document ids in predicted corpus")
-        if len(set(gold_ids)) != len(gold_ids):
-            raise ValueError("duplicate document ids in gold corpus")
-        missing = [i for i in gold_ids if i not in by_id]
-        extra = [i for i in pred_ids if i not in set(gold_ids)]
-        if missing or extra:
-            raise ValueError(
-                "document-id mismatch between corpora"
-                + (f"; missing from predicted: {', '.join(missing[:5])}" if missing else "")
-                + (f"; unexpected in predicted: {', '.join(extra[:5])}" if extra else "")
-            )
-        return [by_id[i] for i in gold_ids], list(gold)
-    if len(pred) != len(gold):
-        raise ValueError(f"corpus size mismatch: {len(pred)} predicted vs {len(gold)} gold")
-    return list(pred), list(gold)
-
-
 @main.command()
 @click.option("--gold", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -173,8 +151,7 @@ def _pair_corpora(pred, gold):
 @click.option("--max-vars", type=int, default=8, show_default=True,
               help="Variable bound for --exact.")
 @click.option("--per-doc", is_flag=True, help="Also print one line per document and metric.")
-@click.option("--jobs", type=int, default=1, show_default=True)
-def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per_doc, jobs):
+def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per_doc):
     """Score a predicted corpus against a gold corpus."""
     names = [m.strip() for m in metrics_list.split(",") if m.strip()]
     unknown = [m for m in names if m not in METRIC_NAMES]
@@ -183,17 +160,17 @@ def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per
     try:
         gold_corpus = read_corpus(gold)
         pred_corpus = read_corpus(pred)
-        pred_corpus, gold_corpus = _pair_corpora(pred_corpus, gold_corpus)
+        pred_corpus, gold_corpus = pair_by_id(pred_corpus, gold_corpus)
         totals, per_doc_entries = score_corpus(
             pred_corpus, gold_corpus, metrics=names, scheme=scheme,
-            restarts=restarts, seed=seed, exact=exact, max_vars=max_vars, jobs=jobs,
+            restarts=restarts, seed=seed, exact=exact, max_vars=max_vars,
         )
     except (GraphError, ValueError, OSError) as exc:
         raise _data_error(exc)
 
     if per_doc:
         for i, entries in enumerate(per_doc_entries):
-            name = gold_corpus[i].metadata.get("id", f"doc{i + 1}")
+            name = doc_id(gold_corpus[i], i)
             for metric in names:
                 click.echo(f"doc\t{name}\t{entries[metric].line()}")
     for metric in names:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple
 
-from .graph import GraphError, SemGraph, invert_role, is_constant_token
+from .graph import GraphError, SemGraph, invert_role, is_constant_token, normalize
 
 META_RE = re.compile(r"^#\s*::(\S+)(.*)$")
 META_SPLIT_RE = re.compile(r"[\t ]+(?=::\S)")
@@ -249,8 +249,6 @@ def serialize_graph(g: SemGraph, indent: int = 4) -> str:
 
 def canonical_serialize(g: SemGraph, indent: int = 4) -> str:
     """Serialization of the normalized graph: a stable byte form."""
-    from .graph import normalize
-
     return serialize_graph(normalize(g), indent=indent)
 
 

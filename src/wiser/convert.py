@@ -16,10 +16,8 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .frames import Catalog
-from .graph import GraphError, SemGraph, invert_role, is_inverse_role
+from .graph import GraphError, SemGraph, invert_role, is_inverse_role, split_sense, strip_sense
 from .rules import MappingResult, OverrideTable, noncore_relabel
-
-MODES = ("wiser", "wiser_with_wsd", "numbered_no_wsd", "numbered_with_wsd")
 
 # mode -> (relabel pass, strip pass)
 MODE_PASSES = {
@@ -28,6 +26,7 @@ MODE_PASSES = {
     "numbered_no_wsd": (False, True),
     "numbered_with_wsd": (False, False),
 }
+MODES = tuple(MODE_PASSES)
 
 # Rare predicates with non-generalizable argument structures; sentences
 # using them are removed before conversion.
@@ -38,20 +37,7 @@ DEFAULT_EXCLUDED_SENSES = frozenset({
 
 ON_UNMAPPED = ("keep_numbered_and_flag", "drop_sentence")
 
-# A sense suffix is a trailing hyphen plus exactly 2 or 3 digits.
-SENSE_SUFFIX_RE = re.compile(r"^(.+)-(\d{2,3})$")
 NUMBERED_ROLE_RE = re.compile(r"^:ARG(\d)$")
-
-
-def split_sense(concept: str) -> tuple[str, str | None]:
-    m = SENSE_SUFFIX_RE.match(concept)
-    if m:
-        return m.group(1), m.group(2)
-    return concept, None
-
-
-def strip_sense(concept: str) -> str:
-    return split_sense(concept)[0]
 
 
 class ConversionError(GraphError):
@@ -175,21 +161,31 @@ def _drop_reason(g: SemGraph, catalog: Catalog | None, config: ConversionConfig)
     return None
 
 
+def _trim(
+    corpus: Sequence[SemGraph],
+    catalog: Catalog | None,
+    config: ConversionConfig,
+) -> tuple[list[tuple[int, SemGraph]], list[DropEvent]]:
+    """Kept documents with their input positions, and the drop events."""
+    kept: list[tuple[int, SemGraph]] = []
+    drops: list[DropEvent] = []
+    for i, g in enumerate(corpus):
+        reason = _drop_reason(g, catalog, config)
+        if reason is None:
+            kept.append((i, g))
+        else:
+            drops.append(DropEvent(doc_id(g, i), reason[0], reason[1]))
+    return kept, drops
+
+
 def trim_corpus(
     corpus: Sequence[SemGraph],
     catalog: Catalog | None,
     config: ConversionConfig,
 ) -> tuple[list[SemGraph], list[DropEvent]]:
     """Remove sentences using excluded senses or senses absent from the catalog."""
-    kept: list[SemGraph] = []
-    drops: list[DropEvent] = []
-    for i, g in enumerate(corpus):
-        reason = _drop_reason(g, catalog, config)
-        if reason is None:
-            kept.append(g)
-        else:
-            drops.append(DropEvent(doc_id(g, i), reason[0], reason[1]))
-    return kept, drops
+    kept, drops = _trim(corpus, catalog, config)
+    return [g for _, g in kept], drops
 
 
 @dataclass
@@ -263,39 +259,23 @@ def convert_corpus(
     corpus: Sequence[SemGraph],
     catalog: Catalog | None,
     config: ConversionConfig,
-    jobs: int = 1,
 ) -> tuple[list[SemGraph], ConversionReport]:
     """Trim, then convert each remaining document.
 
-    Per-document conversion is pure, so it may fan out over ``jobs``
-    workers; results merge in input order and do not depend on the
-    worker count.
+    Drop and flag events name each document by its position in ``corpus``.
     """
-    kept, drops = trim_corpus(corpus, catalog, config)
-
-    def convert_one(g: SemGraph) -> _GraphOutcome | UnmappedArgumentError:
-        try:
-            return _convert_one(g, config)
-        except UnmappedArgumentError as exc:
-            return exc
-
-    if jobs > 1 and len(kept) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(convert_one, kept))
-    else:
-        outcomes = [convert_one(g) for g in kept]
-
+    kept, drops = _trim(corpus, catalog, config)
     out: list[SemGraph] = []
     flags: list[FlagEvent] = []
     distribution: dict[tuple[str, int], int] = {}
     relabeled = 0
     stripped = 0
-    for i, (g, outcome) in enumerate(zip(kept, outcomes)):
+    for i, g in kept:
         name = doc_id(g, i)
-        if isinstance(outcome, UnmappedArgumentError):
-            drops.append(DropEvent(name, "unmapped", str(outcome)))
+        try:
+            outcome = _convert_one(g, config)
+        except UnmappedArgumentError as exc:
+            drops.append(DropEvent(name, "unmapped", str(exc)))
             continue
         out.append(outcome.graph)
         relabeled += outcome.relabeled

@@ -23,6 +23,8 @@ class GraphError(ValueError):
 ROLE_RE = re.compile(r'^:[^\s()/"]+$')
 VAR_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+# A sense suffix is a trailing hyphen plus exactly 2 or 3 digits.
+SENSE_SUFFIX_RE = re.compile(r"^(.+)-(\d{2,3})$")
 
 # Unquoted tokens that are constants rather than variable references.
 MARKER_CONSTANTS = frozenset({"interrogative", "imperative", "expressive"})
@@ -40,6 +42,17 @@ def invert_role(role: str) -> str:
     if is_inverse_role(role):
         return role[: -len("-of")]
     return role + "-of"
+
+
+def split_sense(concept: str) -> tuple[str, str | None]:
+    m = SENSE_SUFFIX_RE.match(concept)
+    if m:
+        return m.group(1), m.group(2)
+    return concept, None
+
+
+def strip_sense(concept: str) -> str:
+    return split_sense(concept)[0]
 
 
 def is_constant_token(token: str) -> bool:
@@ -121,15 +134,6 @@ class SemGraph:
     def with_metadata(self, metadata: Mapping[str, str]) -> "SemGraph":
         return SemGraph(self.root, self.instances, self.edges, self.attributes,
                         tuple(metadata.items()))
-
-    def replace(self, *, instances=None, edges=None, attributes=None) -> "SemGraph":
-        return SemGraph(
-            self.root,
-            self.instances if instances is None else tuple(instances),
-            self.edges if edges is None else tuple(edges),
-            self.attributes if attributes is None else tuple(attributes),
-            self.meta,
-        )
 
 
 def _validate(g: SemGraph) -> None:

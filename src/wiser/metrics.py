@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .convert import strip_sense
-from .graph import SemGraph, Triple, extract_triples, invert_role, normalize
+from .graph import SemGraph, Triple, extract_triples, invert_role, normalize, strip_sense
 
 METRIC_NAMES = (
     "smatch", "unlabeled", "no_wsd", "concepts", "srl", "xsrl",
@@ -418,7 +417,20 @@ def fine_grained(
         raise ValueError(f"unknown metric {metric!r}")
     ta = extract_triples(normalize(a))
     tb = extract_triples(normalize(b))
+    return _score_metric(metric, ta, tb, scheme, restarts, seed, exact, max_vars)
 
+
+def _score_metric(
+    metric: str,
+    ta: Sequence[Triple],
+    tb: Sequence[Triple],
+    scheme: str,
+    restarts: int,
+    seed: int,
+    exact: bool,
+    max_vars: int,
+) -> ScoreEntry:
+    """Score one metric on the normalized triples of a (predicted, gold) pair."""
     if metric == "concepts":
         return _bag_entry(metric, _concept_bag(ta), _concept_bag(tb))
     if metric == "negations":
@@ -443,34 +455,60 @@ def score_corpus(
     seed: int = 0,
     exact: bool = False,
     max_vars: int = 8,
-    jobs: int = 1,
 ) -> tuple[dict[str, ScoreEntry], list[dict[str, ScoreEntry]]]:
     """Micro-averaged corpus scores plus per-document entries.
 
-    Documents are paired positionally (callers align by id first). Each
-    pair is scored with a seed derived from the corpus seed and the
-    document index, so results do not depend on worker count.
+    Documents are paired positionally (see :func:`pair_by_id`). Each pair
+    is normalized once for all metrics and scored with the seed
+    ``seed + i``, where ``i`` is its index, so every entry equals
+    :func:`fine_grained` with that seed.
     """
     if len(pred) != len(gold):
         raise ValueError(f"corpus size mismatch: {len(pred)} predicted vs {len(gold)} gold")
-
-    def score_pair(i: int) -> dict[str, ScoreEntry]:
-        pair_seed = seed + i
-        return {
-            m: fine_grained(pred[i], gold[i], m, scheme=scheme, restarts=restarts,
-                            seed=pair_seed, exact=exact, max_vars=max_vars)
-            for m in metrics
-        }
-
-    if jobs > 1 and len(pred) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_doc = list(pool.map(score_pair, range(len(pred))))
-    else:
-        per_doc = [score_pair(i) for i in range(len(pred))]
+    for m in metrics:
+        if m not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {m!r}")
+    per_doc = []
+    for i, (a, b) in enumerate(zip(pred, gold)):
+        ta = extract_triples(normalize(a))
+        tb = extract_triples(normalize(b))
+        per_doc.append({m: _score_metric(m, ta, tb, scheme, restarts, seed + i, exact, max_vars)
+                        for m in metrics})
     totals = {m: combine_entries(m, (doc[m] for doc in per_doc)) for m in metrics}
     return totals, per_doc
+
+
+def pair_by_id(
+    pred: Sequence[SemGraph],
+    gold: Sequence[SemGraph],
+) -> tuple[list[SemGraph], list[SemGraph]]:
+    """Order ``pred`` to match ``gold`` by ``::id`` metadata.
+
+    When any document of either corpus lacks an id, the corpora pair
+    positionally and must be the same size. Raises ``ValueError`` on
+    duplicate, missing, or unexpected ids.
+    """
+    pred_ids = [g.metadata.get("id") for g in pred]
+    gold_ids = [g.metadata.get("id") for g in gold]
+    if all(pred_ids) and all(gold_ids):
+        by_id = dict(zip(pred_ids, pred))
+        if len(by_id) != len(pred):
+            raise ValueError("duplicate document ids in predicted corpus")
+        gold_set = set(gold_ids)
+        if len(gold_set) != len(gold_ids):
+            raise ValueError("duplicate document ids in gold corpus")
+        missing = [i for i in gold_ids if i not in by_id]
+        extra = [i for i in pred_ids if i not in gold_set]
+        if missing or extra:
+            raise ValueError(
+                "document-id mismatch between corpora"
+                + (f"; missing from predicted: {', '.join(missing[:5])}" if missing else "")
+                + (f"; unexpected in predicted: {', '.join(extra[:5])}" if extra else "")
+            )
+        return [by_id[i] for i in gold_ids], list(gold)
+    if len(pred) != len(gold):
+        raise ValueError(f"corpus size mismatch: {len(pred)} predicted vs {len(gold)} gold")
+    return list(pred), list(gold)
 
 
 @dataclass(frozen=True)

@@ -326,12 +326,6 @@ class CoverageReport:
     unmapped: int
     unmapped_keys: tuple[tuple[str, str, int], ...]
 
-    def summary(self) -> str:
-        return (
-            f"arguments {self.total}: rule-mapped {self.rule_mapped}, "
-            f"override-mapped {self.override_mapped}, unmapped {self.unmapped}"
-        )
-
 
 def map_catalog(
     catalog: Catalog,

@@ -207,12 +207,6 @@ class TestConvertCorpus:
         assert report.sentences_in == report.sentences_out == 0
         assert report.role_distribution == ()
 
-    def test_worker_count_does_not_change_output(self, corpus50, fixture_catalog, wiser_config):
-        serial, serial_report = convert_corpus(corpus50, fixture_catalog, wiser_config, jobs=1)
-        threaded, threaded_report = convert_corpus(corpus50, fixture_catalog, wiser_config, jobs=4)
-        assert corpus_text(serial) == corpus_text(threaded)
-        assert serial_report == threaded_report
-
     def test_idempotent_on_converted_corpus(self, corpus50, fixture_catalog, wiser_config):
         once, _ = convert_corpus(corpus50, fixture_catalog, wiser_config)
         twice, report = convert_corpus(once, fixture_catalog, wiser_config)
@@ -249,6 +243,19 @@ class TestConvertCorpus:
         assert [g.metadata["id"] for g in out] == ["keep"]
         assert report.dropped_unmapped == 1
         assert report.drops[-1].doc_id == "gone"
+
+    @pytest.mark.parametrize("on_unmapped", ["keep_numbered_and_flag", "drop_sentence"])
+    def test_events_name_input_position(self, fixture_catalog, fixture_mapping, on_unmapped):
+        config = ConversionConfig(mode="wiser", mapping=fixture_mapping,
+                                  overrides=REIFIED_OVERRIDES, on_unmapped=on_unmapped)
+        corpus = [
+            parse_graph("(b / byline-91)"),
+            parse_graph("(b / boy)"),
+            parse_graph("(b / bow-02 :ARG2 (t / they))"),
+        ]
+        _, report = convert_corpus(corpus, fixture_catalog, config)
+        events = report.drops if on_unmapped == "drop_sentence" else report.drops + report.flags
+        assert [e.doc_id for e in events] == ["doc1", "doc3"]
 
 
 class TestSplit:

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from graphgen import random_graph, random_pair
+from wiser import metrics
 from wiser.codec import parse_graph
 from wiser.convert import ConversionConfig, convert_graph
 from wiser.graph import SemGraph, extract_triples, normalize
 from wiser.metrics import (
     DEFAULT_METRICS,
+    METRIC_NAMES,
     IaaBatch,
     ScoreEntry,
     combine_entries,
@@ -19,6 +22,7 @@ from wiser.metrics import (
     iaa_batch_score,
     iaa_report,
     novel_predicate_recall,
+    pair_by_id,
     score_corpus,
     score_triples,
     smatch,
@@ -32,7 +36,7 @@ def damage_one_edge(g: SemGraph, index: int = 0, label: str = ":zzz99") -> SemGr
     edges = list(g.edges)
     s, _, t = edges[index]
     edges[index] = (s, label, t)
-    return g.replace(edges=edges)
+    return dataclasses.replace(g, edges=tuple(edges))
 
 
 class TestSmatch:
@@ -258,11 +262,47 @@ class TestCorpusScoring:
         assert combined.total_gold == 8
         assert combined.precision == pytest.approx(4 / 6)
 
-    def test_job_count_does_not_change_scores(self, corpus50):
-        docs = corpus50[:8]
-        serial, _ = score_corpus(docs, docs, metrics=("smatch", "xsrl"), jobs=1)
-        threaded, _ = score_corpus(docs, docs, metrics=("smatch", "xsrl"), jobs=4)
-        assert serial == threaded
+    @pytest.mark.parametrize("scheme", ["wiser", "amr"])
+    def test_entries_equal_fine_grained_with_pair_seed(self, corpus50, scheme):
+        rng = random.Random(4)
+        labels = (":ARG3", ":mod", ":zzz99")
+        pred = [
+            damage_one_edge(g, rng.randrange(len(g.edges)), rng.choice(labels)) if g.edges else g
+            for g in corpus50
+        ]
+        _, per_doc = score_corpus(pred, corpus50, metrics=METRIC_NAMES, scheme=scheme)
+        for i, (p, g) in enumerate(zip(pred, corpus50)):
+            for m in METRIC_NAMES:
+                assert per_doc[i][m] == fine_grained(p, g, m, scheme=scheme, seed=i), (i, m)
+
+    def test_each_pair_normalized_once(self, corpus50, monkeypatch):
+        calls = []
+
+        def counting_normalize(g):
+            calls.append(g)
+            return normalize(g)
+
+        monkeypatch.setattr(metrics, "normalize", counting_normalize)
+        docs = corpus50[:5]
+        for names in (("smatch",), METRIC_NAMES):
+            calls.clear()
+            score_corpus(docs, docs, metrics=names)
+            assert len(calls) == 2 * len(docs)
+
+    def test_pair_by_id(self, corpus50):
+        docs = corpus50[:4]
+        pred, gold = pair_by_id(docs[::-1], docs)
+        assert pred == gold == list(docs)
+        with pytest.raises(ValueError, match="unexpected in predicted: d005"):
+            pair_by_id(corpus50[1:5], docs)
+        with pytest.raises(ValueError, match="duplicate document ids in gold"):
+            pair_by_id(docs, docs[:3] + docs[:1])
+        unnamed = [g.with_metadata({}) for g in docs]
+        assert pair_by_id(unnamed, docs) == (unnamed, list(docs))
+
+    def test_unknown_metric(self, corpus50):
+        with pytest.raises(ValueError, match="unknown metric"):
+            score_corpus(corpus50[:1], corpus50[:1], metrics=("smatch", "bogus"))
 
     def test_size_mismatch(self, corpus50):
         with pytest.raises(ValueError, match="mismatch"):
