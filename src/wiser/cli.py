@@ -27,7 +27,6 @@ from .convert import (
     split_corpus,
 )
 from .frames import catalog_stats, ftag_by_arg, load_catalog, vnrole_by_arg
-from .graph import GraphError
 from .metrics import (
     DEFAULT_METRICS,
     METRIC_NAMES,
@@ -38,7 +37,7 @@ from .metrics import (
     pair_by_id,
     score_corpus,
 )
-from .rules import REIFIED_OVERRIDES, RuleError, compile_rules, load_overrides, map_catalog
+from .rules import REIFIED_OVERRIDES, compile_rules, load_overrides, map_catalog
 
 CLI_MODES = {
     "wiser": "wiser",
@@ -71,13 +70,22 @@ def _write_manifest(manifest: str, output_path: str) -> None:
     Path(output_path + ".manifest.json").write_text(manifest + "\n", encoding="utf-8")
 
 
-def _data_error(exc: Exception) -> click.ClickException:
-    err = click.ClickException(str(exc))
-    err.exit_code = 1
-    return err
+class _Main(click.Group):
+    """Reports a data failure raised by any command and exits 1.
+
+    Graph, parse, rule, catalog and split errors all subclass ``ValueError``.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            err = click.ClickException(str(exc))
+            err.exit_code = 1
+            raise err from exc
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="wiser")
 def main() -> None:
     """Semantic graph conversion and evaluation pipelines."""
@@ -104,31 +112,28 @@ def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_u
     if relabel and not catalog:
         raise click.UsageError(f"--mode {mode} relabels numbered arguments and needs --catalog")
 
-    try:
-        corpus = read_corpus(input_corpus)
-        cat = load_catalog(catalog) if catalog else None
-        override_table = REIFIED_OVERRIDES
-        if overrides:
-            override_table = override_table.merged_with(load_overrides(overrides))
-        mapping = {}
-        if cat is not None:
-            mapping, _ = map_catalog(cat, compile_rules(), override_table)
-        kwargs = {}
-        if exclude:
-            kwargs["exclusion_senses"] = frozenset(read_id_list(exclude))
-        config = ConversionConfig(
-            mode=mode_name,
-            mapping=mapping,
-            overrides=override_table,
-            on_unmapped="drop_sentence" if on_unmapped == "drop" else "keep_numbered_and_flag",
-            **kwargs,
-        )
-        converted, report = convert_corpus(corpus, cat, config)
-        write_corpus(converted, output_corpus)
-        if report_path:
-            Path(report_path).write_text(report.to_text(), encoding="utf-8")
-    except (GraphError, RuleError, ValueError, OSError) as exc:
-        raise _data_error(exc)
+    corpus = read_corpus(input_corpus)
+    cat = load_catalog(catalog) if catalog else None
+    override_table = REIFIED_OVERRIDES
+    if overrides:
+        override_table = override_table.merged_with(load_overrides(overrides))
+    mapping = {}
+    if cat is not None:
+        mapping, _ = map_catalog(cat, compile_rules(), override_table)
+    kwargs = {}
+    if exclude:
+        kwargs["exclusion_senses"] = frozenset(read_id_list(exclude))
+    config = ConversionConfig(
+        mode=mode_name,
+        mapping=mapping,
+        overrides=override_table,
+        on_unmapped="drop_sentence" if on_unmapped == "drop" else "keep_numbered_and_flag",
+        **kwargs,
+    )
+    converted, report = convert_corpus(corpus, cat, config)
+    write_corpus(converted, output_corpus)
+    if report_path:
+        Path(report_path).write_text(report.to_text(), encoding="utf-8")
 
     manifest = _manifest(
         "convert",
@@ -157,16 +162,13 @@ def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per
     unknown = [m for m in names if m not in METRIC_NAMES]
     if unknown:
         raise click.UsageError(f"unknown metric(s): {', '.join(unknown)}")
-    try:
-        gold_corpus = read_corpus(gold)
-        pred_corpus = read_corpus(pred)
-        pred_corpus, gold_corpus = pair_by_id(pred_corpus, gold_corpus)
-        totals, per_doc_entries = score_corpus(
-            pred_corpus, gold_corpus, metrics=names, scheme=scheme,
-            restarts=restarts, seed=seed, exact=exact, max_vars=max_vars,
-        )
-    except (GraphError, ValueError, OSError) as exc:
-        raise _data_error(exc)
+    gold_corpus = read_corpus(gold)
+    pred_corpus = read_corpus(pred)
+    pred_corpus, gold_corpus = pair_by_id(pred_corpus, gold_corpus)
+    totals, per_doc_entries = score_corpus(
+        pred_corpus, gold_corpus, metrics=names, scheme=scheme,
+        restarts=restarts, seed=seed, exact=exact, max_vars=max_vars,
+    )
 
     if per_doc:
         for i, entries in enumerate(per_doc_entries):
@@ -191,11 +193,8 @@ def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per
 @click.option("--machine", is_flag=True, help="Tab-separated output.")
 def stats(corpus_path, source_key, machine):
     """Corpus statistics per source and in total."""
-    try:
-        corpus = read_corpus(corpus_path)
-        report = corpus_stats(corpus, source_key=source_key)
-    except (GraphError, OSError) as exc:
-        raise _data_error(exc)
+    corpus = read_corpus(corpus_path)
+    report = corpus_stats(corpus, source_key=source_key)
     fields = ("sentences", "tokens", "concepts", "relations",
               "reentrancies", "negations", "named_entities")
     rows = list(report.rows) + [report.total]
@@ -225,28 +224,25 @@ def stats(corpus_path, source_key, machine):
 def iaa(batches_path, restarts, seed):
     """Inter-annotator agreement per batch with per-group macro averages."""
     batches = []
-    try:
-        base = Path(batches_path).parent
-        with open(batches_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) == 3:
-                    group, batch_id, value = fields
-                    score_value = float(value)
-                elif len(fields) == 4:
-                    group, batch_id, path_a, path_b = fields
-                    corpus_a = read_corpus(base / path_a)
-                    corpus_b = read_corpus(base / path_b)
-                    score_value = iaa_batch_score(corpus_a, corpus_b, restarts=restarts, seed=seed)
-                else:
-                    raise ValueError(f"line {lineno}: expected 3 or 4 tab-separated fields")
-                batches.append(IaaBatch(group=group, batch_id=batch_id, score=score_value))
-        report = iaa_report(batches)
-    except (GraphError, ValueError, OSError) as exc:
-        raise _data_error(exc)
+    base = Path(batches_path).parent
+    with open(batches_path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) == 3:
+                group, batch_id, value = fields
+                score_value = float(value)
+            elif len(fields) == 4:
+                group, batch_id, path_a, path_b = fields
+                corpus_a = read_corpus(base / path_a)
+                corpus_b = read_corpus(base / path_b)
+                score_value = iaa_batch_score(corpus_a, corpus_b, restarts=restarts, seed=seed)
+            else:
+                raise ValueError(f"line {lineno}: expected 3 or 4 tab-separated fields")
+            batches.append(IaaBatch(group=group, batch_id=batch_id, score=score_value))
+    report = iaa_report(batches)
     for batch in report.batches:
         click.echo(f"batch\t{batch.group}\t{batch.batch_id}\t{batch.score:.4f}")
     for group, mean in report.macro_averages.items():
@@ -262,10 +258,7 @@ def iaa(batches_path, restarts, seed):
 @click.option("--machine", is_flag=True, help="Tab-separated output.")
 def frames(subreport, catalog, machine):
     """Frame catalog analytics: totals, tag/role distributions, coverage."""
-    try:
-        cat = load_catalog(catalog)
-    except (ValueError, OSError) as exc:
-        raise _data_error(exc)
+    cat = load_catalog(catalog)
     sep = "\t" if machine else "  "
     if subreport == "totals":
         counts = catalog_stats(cat)
@@ -309,17 +302,14 @@ def split(input_corpus, spec_entries, out_dir):
             raise click.UsageError(f"--spec takes NAME=IDFILE, got {entry!r}")
         name, _, path = entry.partition("=")
         spec[name] = path
-    try:
-        corpus = read_corpus(input_corpus)
-        id_lists = {name: read_id_list(path) for name, path in spec.items()}
-        parts = split_corpus(corpus, id_lists)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, graphs in parts.items():
-            write_corpus(graphs, out / f"{name}.txt")
-            click.echo(f"{name}\t{len(graphs)}")
-    except (GraphError, ValueError, OSError) as exc:
-        raise _data_error(exc)
+    corpus = read_corpus(input_corpus)
+    id_lists = {name: read_id_list(path) for name, path in spec.items()}
+    parts = split_corpus(corpus, id_lists)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, graphs in parts.items():
+        write_corpus(graphs, out / f"{name}.txt")
+        click.echo(f"{name}\t{len(graphs)}")
     manifest = _manifest("split", {"splits": sorted(spec)},
                          {"input": input_corpus, **spec})
     _write_manifest(manifest, str(Path(out_dir) / "split"))

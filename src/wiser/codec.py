@@ -15,7 +15,10 @@ from .graph import GraphError, SemGraph, invert_role, is_constant_token, normali
 
 META_RE = re.compile(r"^#\s*::(\S+)(.*)$")
 META_SPLIT_RE = re.compile(r"[\t ]+(?=::\S)")
-TOKEN_RE = re.compile(r'"[^"]*"|[()/]|[^\s()/"]+')
+# A quoted string may hold backslash escapes: '\"' for a quote, '\\' for a backslash.
+TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[()/]|[^\s()/"]+')
+ESCAPE_RE = re.compile(r'\\([\\"])')
+INDENT = 4
 
 
 class ParseError(GraphError):
@@ -167,7 +170,7 @@ def parse_graph(text: str, first_line: int = 1) -> SemGraph:
         assert tok is not None
         text_ = tok.text
         if text_.startswith('"'):
-            attributes.append((src, role, text_[1:-1]))
+            attributes.append((src, role, ESCAPE_RE.sub(r"\1", text_[1:-1])))
         elif text_ in concepts:
             edges.append((src, role, text_))
         elif is_constant_token(text_):
@@ -182,10 +185,11 @@ def parse_graph(text: str, first_line: int = 1) -> SemGraph:
 def _format_constant(value: str) -> str:
     if is_constant_token(value):
         return value
-    return f'"{value}"'
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
-def serialize_graph(g: SemGraph, indent: int = 4) -> str:
+def serialize_graph(g: SemGraph) -> str:
     """Render the graph depth-first from its root.
 
     Each variable gets exactly one ``/ concept`` occurrence; later
@@ -217,7 +221,7 @@ def serialize_graph(g: SemGraph, indent: int = 4) -> str:
 
     def render(var: str, depth: int) -> str:
         visited.add(var)
-        pad = "\n" + " " * (indent * (depth + 1))
+        pad = "\n" + " " * (INDENT * (depth + 1))
         parts = [f"({var} / {g.concept_of(var)}"]
         for i in out_edges[var]:
             if i in emitted:
@@ -247,14 +251,14 @@ def serialize_graph(g: SemGraph, indent: int = 4) -> str:
     return text
 
 
-def canonical_serialize(g: SemGraph, indent: int = 4) -> str:
+def canonical_serialize(g: SemGraph) -> str:
     """Serialization of the normalized graph: a stable byte form."""
-    return serialize_graph(normalize(g), indent=indent)
+    return serialize_graph(normalize(g))
 
 
-def document_text(g: SemGraph, indent: int = 4) -> str:
+def document_text(g: SemGraph) -> str:
     lines = [f"# ::{k} {v}".rstrip() for k, v in g.meta]
-    lines.append(serialize_graph(g, indent=indent))
+    lines.append(serialize_graph(g))
     return "\n".join(lines)
 
 
@@ -288,10 +292,10 @@ def read_corpus(path) -> list[SemGraph]:
         return read_corpus_text(fh.read())
 
 
-def corpus_text(graphs: Iterable[SemGraph], indent: int = 4) -> str:
-    return "\n\n".join(document_text(g, indent=indent) for g in graphs) + "\n"
+def corpus_text(graphs: Iterable[SemGraph]) -> str:
+    return "\n\n".join(document_text(g) for g in graphs) + "\n"
 
 
-def write_corpus(graphs: Iterable[SemGraph], path, indent: int = 4) -> None:
+def write_corpus(graphs: Iterable[SemGraph], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corpus_text(graphs, indent=indent))
+        fh.write(corpus_text(graphs))

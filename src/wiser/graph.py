@@ -3,8 +3,7 @@
 A :class:`SemGraph` stores one sentence's meaning: variables bound to
 concepts, role-labeled edges between variables, role-labeled attributes
 holding constants, and free-form metadata. Graphs are immutable after
-construction and safe to share across workers; every transformation
-returns a new graph.
+construction; every transformation returns a new graph.
 """
 
 from __future__ import annotations
@@ -192,12 +191,11 @@ def _validate(g: SemGraph) -> None:
             raise GraphError(f"variables not connected to root: {', '.join(missing)}")
 
 
-def normalize(g: SemGraph) -> SemGraph:
+def flip_inverses(g: SemGraph) -> SemGraph:
     """Flip inverse ('-of') edges to their base direction and sort triples.
 
     Roles with no base form (see :data:`NON_INVERTIBLE`) are left as-is.
-    Rejects graphs that contain a directed cycle once edges are in base
-    direction; reentrancy (shared targets) is fine.
+    Directed cycles are kept: scoring and statistics accept them.
     """
     flipped = []
     for s, r, t in g.edges:
@@ -205,15 +203,22 @@ def normalize(g: SemGraph) -> SemGraph:
             flipped.append((t, invert_role(r), s))
         else:
             flipped.append((s, r, t))
-    edges = tuple(sorted(set(flipped)))
-    _reject_cycles(g.root, edges)
     return SemGraph(
         root=g.root,
         instances=tuple(sorted(g.instances)),
-        edges=edges,
+        edges=tuple(sorted(set(flipped))),
         attributes=tuple(sorted(set(g.attributes))),
         meta=g.meta,
     )
+
+
+def normalize(g: SemGraph) -> SemGraph:
+    """:func:`flip_inverses`, rejecting graphs that then contain a directed
+    cycle; reentrancy (shared targets) is fine.
+    """
+    ng = flip_inverses(g)
+    _reject_cycles(ng.root, ng.edges)
+    return ng
 
 
 def _reject_cycles(root: str, edges: tuple[tuple[str, str, str], ...]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .graph import SemGraph, Triple, extract_triples, invert_role, normalize, strip_sense
+from .graph import SemGraph, Triple, extract_triples, flip_inverses, invert_role, strip_sense
 
 METRIC_NAMES = (
     "smatch", "unlabeled", "no_wsd", "concepts", "srl", "xsrl",
@@ -128,10 +128,6 @@ class _View:
             triple_set=frozenset(triples),
             concepts=tuple(sorted(concepts)),
         )
-
-
-def _graph_view(g: SemGraph) -> _View:
-    return _View.from_triples(extract_triples(normalize(g)))
 
 
 def _match_count(view_a: _View, view_b: _View, mapping: Mapping[str, str]) -> int:
@@ -248,15 +244,23 @@ def _align_exact(view_a: _View, view_b: _View, max_vars: int) -> Alignment:
     return Alignment(mapping=tuple(sorted(best_mapping.items())), matched=max(0, best_score))
 
 
-def _score_views(
+def _prepare(g: SemGraph) -> tuple[Triple, ...]:
+    """The triples every metric starts from: inverse edges flipped, cycles kept."""
+    return extract_triples(flip_inverses(g))
+
+
+def _align_count(
     metric: str,
-    view_a: _View,
-    view_b: _View,
+    triples_a: Iterable[Triple],
+    triples_b: Iterable[Triple],
     restarts: int,
     seed: int,
     exact: bool,
     max_vars: int,
 ) -> tuple[ScoreEntry, Alignment]:
+    """Align two triple sets (variables are inferred) and count the match."""
+    view_a = _View.from_triples(triples_a)
+    view_b = _View.from_triples(triples_b)
     if exact:
         alignment = _align_exact(view_a, view_b, max_vars)
     else:
@@ -277,7 +281,7 @@ def smatch(
     by greedy concept pairing, the rest are uniformly random draws from
     the seeded generator.
     """
-    return _score_views("smatch", _graph_view(a), _graph_view(b), restarts, seed, False, 0)
+    return _align_count("smatch", _prepare(a), _prepare(b), restarts, seed, False, 0)
 
 
 def smatch_exact(a: SemGraph, b: SemGraph, max_vars: int = 8) -> tuple[ScoreEntry, Alignment]:
@@ -285,7 +289,7 @@ def smatch_exact(a: SemGraph, b: SemGraph, max_vars: int = 8) -> tuple[ScoreEntr
 
     Refuses pairs whose smaller graph exceeds ``max_vars`` variables.
     """
-    return _score_views("smatch", _graph_view(a), _graph_view(b), 0, 0, True, max_vars)
+    return _align_count("smatch", _prepare(a), _prepare(b), 0, 0, True, max_vars)
 
 
 def _strip_triple_senses(triples: Iterable[Triple]) -> list[Triple]:
@@ -355,7 +359,8 @@ def _name_bag(triples: Sequence[Triple]) -> Counter:
     return bag
 
 
-BAG_METRICS = ("concepts", "negations", "named_entity")
+# Metrics that compare bags directly, with no alignment.
+_BAGS = {"concepts": _concept_bag, "negations": _negation_bag, "named_entity": _name_bag}
 
 
 def transform_triples(triples: Sequence[Triple], metric: str, scheme: str = "wiser") -> list[Triple]:
@@ -390,10 +395,7 @@ def score_triples(
     max_vars: int = 8,
 ) -> ScoreEntry:
     """Align and score two prepared triple sets (variables are inferred)."""
-    view_a = _View.from_triples(triples_a)
-    view_b = _View.from_triples(triples_b)
-    entry, _ = _score_views(metric, view_a, view_b, restarts, seed, exact, max_vars)
-    return entry
+    return _align_count(metric, triples_a, triples_b, restarts, seed, exact, max_vars)[0]
 
 
 def fine_grained(
@@ -409,41 +411,11 @@ def fine_grained(
     """Score one named metric for a (predicted, gold) pair.
 
     Alignment metrics are Smatch over a documented transform of the
-    normalized triple sets; ``concepts``, ``negations``, and
-    ``named_entity`` compare bags directly. ``scheme`` selects the xSRL
-    restriction set.
+    triple sets, with inverse edges flipped; ``concepts``, ``negations``,
+    and ``named_entity`` compare bags directly. ``scheme`` selects the
+    xSRL restriction set.
     """
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}")
-    ta = extract_triples(normalize(a))
-    tb = extract_triples(normalize(b))
-    return _score_metric(metric, ta, tb, scheme, restarts, seed, exact, max_vars)
-
-
-def _score_metric(
-    metric: str,
-    ta: Sequence[Triple],
-    tb: Sequence[Triple],
-    scheme: str,
-    restarts: int,
-    seed: int,
-    exact: bool,
-    max_vars: int,
-) -> ScoreEntry:
-    """Score one metric on the normalized triples of a (predicted, gold) pair."""
-    if metric == "concepts":
-        return _bag_entry(metric, _concept_bag(ta), _concept_bag(tb))
-    if metric == "negations":
-        return _bag_entry(metric, _negation_bag(ta), _negation_bag(tb))
-    if metric == "named_entity":
-        return _bag_entry(metric, _name_bag(ta), _name_bag(tb))
-
-    return score_triples(
-        metric,
-        transform_triples(ta, metric, scheme),
-        transform_triples(tb, metric, scheme),
-        restarts=restarts, seed=seed, exact=exact, max_vars=max_vars,
-    )
+    return score_corpus([a], [b], (metric,), scheme, restarts, seed, exact, max_vars)[1][0][metric]
 
 
 def score_corpus(
@@ -459,7 +431,7 @@ def score_corpus(
     """Micro-averaged corpus scores plus per-document entries.
 
     Documents are paired positionally (see :func:`pair_by_id`). Each pair
-    is normalized once for all metrics and scored with the seed
+    is prepared once for all metrics and scored with the seed
     ``seed + i``, where ``i`` is its index, so every entry equals
     :func:`fine_grained` with that seed.
     """
@@ -470,10 +442,18 @@ def score_corpus(
             raise ValueError(f"unknown metric {m!r}")
     per_doc = []
     for i, (a, b) in enumerate(zip(pred, gold)):
-        ta = extract_triples(normalize(a))
-        tb = extract_triples(normalize(b))
-        per_doc.append({m: _score_metric(m, ta, tb, scheme, restarts, seed + i, exact, max_vars)
-                        for m in metrics})
+        ta, tb = _prepare(a), _prepare(b)
+        entries = {}
+        for m in metrics:
+            bag = _BAGS.get(m)
+            if bag:
+                entries[m] = _bag_entry(m, bag(ta), bag(tb))
+            else:
+                entries[m], _ = _align_count(
+                    m, transform_triples(ta, m, scheme), transform_triples(tb, m, scheme),
+                    restarts, seed + i, exact, max_vars,
+                )
+        per_doc.append(entries)
     totals = {m: combine_entries(m, (doc[m] for doc in per_doc)) for m in metrics}
     return totals, per_doc
 
@@ -592,11 +572,8 @@ def iaa_batch_score(
         raise ValueError(
             f"batch size mismatch between annotators: {len(corpus_a)} vs {len(corpus_b)}"
         )
-    entries = [
-        smatch(a, b, restarts=restarts, seed=seed + i)[0]
-        for i, (a, b) in enumerate(zip(corpus_a, corpus_b))
-    ]
-    return combine_entries("smatch", entries).f1
+    totals, _ = score_corpus(corpus_a, corpus_b, ("smatch",), restarts=restarts, seed=seed)
+    return totals["smatch"].f1
 
 
 def iaa_report(batches: Iterable[IaaBatch]) -> IaaReport:
@@ -638,7 +615,7 @@ class StatsReport:
 
 
 def _doc_stats(g: SemGraph, source: str) -> StatsRow:
-    ng = normalize(g)
+    ng = flip_inverses(g)
     indegree: Counter[str] = Counter(t for _, _, t in ng.edges)
     snt = g.metadata.get("snt")
     return StatsRow(
@@ -660,8 +637,8 @@ def corpus_stats(corpus: Sequence[SemGraph], source_key: str | None = None) -> S
     Tokens come from whitespace-splitting each document's ``snt``
     metadata; documents without it are counted with a warning. Relations
     count edges plus attributes (instances and the top excluded);
-    reentrancies sum max(0, in-degree - 1) over variables after
-    normalization.
+    reentrancies sum max(0, in-degree - 1) over variables once inverse
+    edges are flipped. Directed cycles are accepted.
     """
     empty = StatsRow("", 0, 0, 0, 0, 0, 0, 0)
     by_source: dict[str, StatsRow] = {}

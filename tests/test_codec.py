@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgen import random_graph
 from wiser.codec import (
@@ -119,6 +121,18 @@ class TestSerialize:
             back = roundtrip(g)
             assert frozenset(extract_triples(back)) == frozenset(extract_triples(g))
             assert back.reentrant_variables() == g.reentrant_variables()
+
+    def test_quoted_value_escapes(self):
+        g = parse_graph(r'(a / x :wiki "say \"hi\"" :op1 "C:\\dir")')
+        assert g.attributes == (("a", ":wiki", 'say "hi"'), ("a", ":op1", "C:\\dir"))
+        assert serialize_graph(g) == '(a / x\n    :wiki "say \\"hi\\""\n    :op1 "C:\\\\dir")'
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters(exclude_characters="\n\r"), min_size=1))
+    def test_roundtrip_any_attribute_value(self, value):
+        # The corpus format is line-based, so values never hold line breaks.
+        g = SemGraph.build("a", [("a", "x")], [], [("a", ":wiki", value)])
+        assert roundtrip(g).attributes == g.attributes
 
     def test_roundtrip_random(self):
         rng = random.Random(20240817)

@@ -9,7 +9,7 @@ from graphgen import random_graph, random_pair
 from wiser import metrics
 from wiser.codec import parse_graph
 from wiser.convert import ConversionConfig, convert_graph
-from wiser.graph import SemGraph, extract_triples, normalize
+from wiser.graph import SemGraph, extract_triples, flip_inverses, normalize
 from wiser.metrics import (
     DEFAULT_METRICS,
     METRIC_NAMES,
@@ -278,11 +278,11 @@ class TestCorpusScoring:
     def test_each_pair_normalized_once(self, corpus50, monkeypatch):
         calls = []
 
-        def counting_normalize(g):
+        def counting_flip(g):
             calls.append(g)
-            return normalize(g)
+            return flip_inverses(g)
 
-        monkeypatch.setattr(metrics, "normalize", counting_normalize)
+        monkeypatch.setattr(metrics, "flip_inverses", counting_flip)
         docs = corpus50[:5]
         for names in (("smatch",), METRIC_NAMES):
             calls.clear()
@@ -307,6 +307,16 @@ class TestCorpusScoring:
     def test_size_mismatch(self, corpus50):
         with pytest.raises(ValueError, match="mismatch"):
             score_corpus(corpus50[:2], corpus50[:3])
+
+    def test_directed_cycle_scores_and_counts(self):
+        g = parse_graph("(a / x :ARG0 (b / y :ARG1 a))")
+        assert smatch(g, g)[0].f1 == 1.0
+        scored = [fine_grained(g, g, m) for m in DEFAULT_METRICS]
+        assert [e.metric for e in scored if e.total_gold] == ["smatch", "unlabeled", "no_wsd",
+                                                             "concepts"]
+        assert all(e.f1 == 1.0 for e in scored if e.total_gold)
+        row = corpus_stats([g]).total
+        assert (row.sentences, row.concepts, row.relations, row.reentrancies) == (1, 2, 2, 0)
 
 
 class TestNovelRecall:
@@ -368,6 +378,21 @@ class TestIaa:
     def test_batch_score_from_parallel_corpora(self, corpus50):
         docs = corpus50[:5]
         assert iaa_batch_score(docs, docs) == 1.0
+
+    def test_batch_score_pools_pair_seeded_smatch(self, corpus50):
+        rng = random.Random(11)
+        damaged = [damage_one_edge(g, rng.randrange(len(g.edges)), ":zzz99") if g.edges else g
+                   for g in corpus50]
+        # Small-vocabulary random pairs, where the restart seed changes the score.
+        hard = [random_pair(rng, max_vars=10) for _ in range(30)]
+        cases = [(damaged, corpus50, 5), ([a for a, _ in hard], [b for _, b in hard], 2)]
+        for pred, gold, restarts in cases:
+            for s in (0, 3):
+                entries = [smatch(p, g, restarts=restarts, seed=s + i)[0]
+                           for i, (p, g) in enumerate(zip(pred, gold))]
+                expected = combine_entries("smatch", entries).f1
+                assert expected < 1.0
+                assert iaa_batch_score(pred, gold, restarts=restarts, seed=s) == expected
 
     def test_batch_size_mismatch(self, corpus50):
         with pytest.raises(ValueError, match="mismatch"):
