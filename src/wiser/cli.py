@@ -19,6 +19,7 @@ import click
 from . import __version__
 from .codec import read_corpus, write_corpus
 from .convert import (
+    DEFAULT_EXCLUDED_SENSES,
     MODE_PASSES,
     ConversionConfig,
     convert_corpus,
@@ -119,16 +120,13 @@ def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_u
         override_table = override_table.merged_with(load_overrides(overrides))
     mapping = {}
     if cat is not None:
-        mapping, _ = map_catalog(cat, compile_rules(), override_table)
-    kwargs = {}
-    if exclude:
-        kwargs["exclusion_senses"] = frozenset(read_id_list(exclude))
+        mapping, _ = map_catalog(cat, compile_rules())
     config = ConversionConfig(
         mode=mode_name,
         mapping=mapping,
         overrides=override_table,
+        exclusion_senses=frozenset(read_id_list(exclude)) if exclude else DEFAULT_EXCLUDED_SENSES,
         on_unmapped="drop_sentence" if on_unmapped == "drop" else "keep_numbered_and_flag",
-        **kwargs,
     )
     converted, report = convert_corpus(corpus, cat, config)
     write_corpus(converted, output_corpus)

@@ -16,7 +16,8 @@ from .graph import GraphError, SemGraph, invert_role, is_constant_token, normali
 META_RE = re.compile(r"^#\s*::(\S+)(.*)$")
 META_SPLIT_RE = re.compile(r"[\t ]+(?=::\S)")
 # A quoted string may hold backslash escapes: '\"' for a quote, '\\' for a backslash.
-TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[()/]|[^\s()/"]+')
+# A quote that opens no complete string is a token of its own, reported as an error.
+TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[()/]|[^\s()/"]+|"')
 ESCAPE_RE = re.compile(r'\\([\\"])')
 INDENT = 4
 
@@ -40,7 +41,10 @@ def _tokenize(lines: list[str], first_line: int) -> list[_Token]:
     tokens = []
     for i, text in enumerate(lines):
         for m in TOKEN_RE.finditer(text):
-            tokens.append(_Token(m.group(0), first_line + i, m.start() + 1))
+            token = m.group(0)
+            if token == '"':
+                raise ParseError("unterminated string", first_line + i, m.start() + 1)
+            tokens.append(_Token(token, first_line + i, m.start() + 1))
     return tokens
 
 
@@ -182,9 +186,7 @@ def parse_graph(text: str, first_line: int = 1) -> SemGraph:
     return SemGraph.build(root, instances, edges, attributes, meta)
 
 
-def _format_constant(value: str) -> str:
-    if is_constant_token(value):
-        return value
+def _quote(value: str) -> str:
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
@@ -241,7 +243,10 @@ def serialize_graph(g: SemGraph) -> str:
             emitted.add(i)
             parts.append(f"{pad}{invert_role(role)} {render(source, depth + 1)}")
         for role, value in attrs[var]:
-            parts.append(f"{pad}{role} {_format_constant(value)}")
+            # A bare marker constant that names a variable would read as an edge.
+            if not is_constant_token(value) or value in g.concepts:
+                value = _quote(value)
+            parts.append(f"{pad}{role} {value}")
         parts.append(")")
         return "".join(parts)
 

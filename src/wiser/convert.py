@@ -10,7 +10,7 @@ constants, root), only labels.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -40,12 +40,9 @@ ON_UNMAPPED = ("keep_numbered_and_flag", "drop_sentence")
 NUMBERED_ROLE_RE = re.compile(r"^:ARG(\d)$")
 
 
-class ConversionError(GraphError):
-    """A document could not be converted under the configured policy."""
-
-
-class UnmappedArgumentError(ConversionError):
-    """A numbered argument had no role under the drop_sentence policy."""
+class UnmappedArgumentError(GraphError):
+    """Under the drop_sentence policy: a numbered argument had no role, or a
+    relabel collided with another edge."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,6 @@ class ConversionConfig:
     mapping: Mapping[tuple[str, str, int], MappingResult] = field(default_factory=dict)
     overrides: OverrideTable = field(default_factory=OverrideTable)
     exclusion_senses: frozenset[str] = DEFAULT_EXCLUDED_SENSES
-    drop_adhoc: bool = True
     on_unmapped: str = "keep_numbered_and_flag"
 
     def __post_init__(self) -> None:
@@ -64,17 +60,20 @@ class ConversionConfig:
             raise ValueError(f"unknown on_unmapped policy {self.on_unmapped!r}")
 
     @cached_property
-    def role_table(self) -> dict[tuple[str, str, int], str]:
-        table = {key: res.role for key, res in self.mapping.items() if res.role is not None}
+    def roles(self) -> dict[tuple[str, str, int], str | None]:
+        """(predicate, sense, arg) -> role: the rule result, else the override.
+
+        ``None`` marks an argument that neither covers.
+        """
+        table = {key: result.role for key, result in self.mapping.items()}
         for key, role in self.overrides.by_key.items():
-            table.setdefault(key, role)
+            if table.get(key) is None:
+                table[key] = role
         return table
 
     @cached_property
     def known_senses(self) -> frozenset[tuple[str, str]]:
-        keys = {(p, s) for p, s, _ in self.role_table}
-        keys |= {(p, s) for p, s, _ in self.mapping}
-        return frozenset(keys)
+        return frozenset((p, s) for p, s, _ in self.roles)
 
     @cached_property
     def lemma_consensus(self) -> dict[tuple[str, int], str | None]:
@@ -84,16 +83,13 @@ class ConversionConfig:
         never silently takes a role that only some of its senses carry.
         """
         grouped: dict[tuple[str, int], set[str | None]] = defaultdict(set)
-        for (predicate, _, argn), result in self.mapping.items():
-            grouped[(predicate, argn)].add(result.role)
-        for (predicate, sense, argn), role in self.overrides.by_key.items():
-            if (predicate, sense, argn) not in self.mapping:
-                grouped[(predicate, argn)].add(role)
+        for (predicate, _, argn), role in self.roles.items():
+            grouped[(predicate, argn)].add(role)
         return {key: roles.pop() if len(roles) == 1 else None for key, roles in grouped.items()}
 
     def resolve(self, lemma: str, sense: str | None, arg_number: int) -> str | None:
         if sense is not None:
-            return self.role_table.get((lemma, sense, arg_number))
+            return self.roles.get((lemma, sense, arg_number))
         return self.lemma_consensus.get((lemma, arg_number))
 
 
@@ -151,7 +147,7 @@ def _drop_reason(g: SemGraph, catalog: Catalog | None, config: ConversionConfig)
     for _, concept in g.instances:
         if concept in config.exclusion_senses:
             return "excluded", concept
-    if config.drop_adhoc and catalog is not None:
+    if catalog is not None:
         for _, concept in g.instances:
             lemma, sense = split_sense(concept)
             if sense is None:
@@ -198,31 +194,48 @@ class _GraphOutcome:
 
 
 def _relabel_edges(g: SemGraph, config: ConversionConfig, outcome: _GraphOutcome) -> list[tuple[str, str, str]]:
-    edges = []
+    """Each edge with its converted label; an edge that cannot take one keeps
+    its input label and is flagged (or, under drop_sentence, drops the graph)."""
+
+    def unconverted(detail: str) -> None:
+        if config.on_unmapped == "drop_sentence":
+            raise UnmappedArgumentError(detail)
+        outcome.residues.append(detail)
+
+    edges: list[tuple[str, str, str]] = []
+    keys: list[tuple[str, int] | None] = []  # (role, arg) of a resolved numbered edge
     for source, label, target in g.edges:
+        key = None
         inverted = is_inverse_role(label)
-        base = invert_role(label) if inverted else label
-        m = NUMBERED_ROLE_RE.match(base)
-        if m:
+        m = NUMBERED_ROLE_RE.match(invert_role(label) if inverted else label)
+        if m is None:
+            new_label = noncore_relabel(label)
+        else:
             argn = int(m.group(1))
-            predicate_var = target if inverted else source
-            lemma, sense = split_sense(g.concept_of(predicate_var))
+            predicate = g.concept_of(target if inverted else source)
+            lemma, sense = split_sense(predicate)
             role = config.resolve(lemma, sense, argn)
             if role is None:
-                detail = f"{g.concept_of(predicate_var)} {label} unresolved"
-                if config.on_unmapped == "drop_sentence":
-                    raise UnmappedArgumentError(detail)
-                outcome.residues.append(detail)
-                edges.append((source, label, target))
-                continue
-            new_label = ":" + (invert_role(role) if inverted else role)
-            key = (role, argn)
-            outcome.distribution[key] = outcome.distribution.get(key, 0) + 1
-        else:
-            new_label = noncore_relabel(label)
-        if new_label != label:
-            outcome.relabeled += 1
+                new_label = label
+                unconverted(f"{predicate} {label} unresolved")
+            else:
+                new_label = ":" + (invert_role(role) if inverted else role)
+                key = (role, argn)
         edges.append((source, new_label, target))
+        keys.append(key)
+    # A relabel that lands on another output edge is undone. Undoing only
+    # restores input edges, which are distinct, so this ends.
+    while len(set(edges)) < len(edges):
+        counts = Counter(edges)
+        for i, (edge, old) in enumerate(zip(edges, g.edges)):
+            if counts[edge] > 1 and edge != old:
+                unconverted(f"{g.concept_of(old[0])} {old[1]} collides with {edge[1]}")
+                edges[i] = old
+    for edge, old, key in zip(edges, g.edges, keys):
+        if edge != old:
+            outcome.relabeled += 1
+            if key is not None:
+                outcome.distribution[key] = outcome.distribution.get(key, 0) + 1
     return edges
 
 
@@ -283,9 +296,7 @@ def convert_corpus(
         for key, n in outcome.distribution.items():
             distribution[key] = distribution.get(key, 0) + n
         flags.extend(FlagEvent(name, detail) for detail in outcome.residues)
-    by_reason = {"adhoc": 0, "excluded": 0, "unmapped": 0}
-    for d in drops:
-        by_reason[d.reason] += 1
+    by_reason = Counter(d.reason for d in drops)
     report = ConversionReport(
         sentences_in=len(corpus),
         sentences_out=len(out),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
@@ -179,16 +179,14 @@ def _hill_climb(view_a: _View, view_b: _View, mapping: dict[str, str]) -> tuple[
         best_gain = 0
         best_mapping: dict[str, str] | None = None
         used = set(mapping.values())
+        # No move unmaps a variable on its own: dropping a pair can only lose
+        # matches, and only a move with a positive gain is taken.
         for a in vars_a:
-            current = mapping.get(a)
-            for b in (None, *vars_b):
-                if b == current or (b is not None and b in used):
+            for b in vars_b:
+                if b in used:
                     continue
                 candidate = dict(mapping)
-                if b is None:
-                    del candidate[a]
-                else:
-                    candidate[a] = b
+                candidate[a] = b
                 gain = _match_count(view_a, view_b, candidate) - score
                 if gain > best_gain:
                     best_gain, best_mapping = gain, candidate
@@ -593,18 +591,9 @@ class StatsRow:
     named_entities: int
     missing_snt: int = 0
 
-    def add(self, other: "StatsRow", source: str | None = None) -> "StatsRow":
-        return StatsRow(
-            source=source or self.source,
-            sentences=self.sentences + other.sentences,
-            tokens=self.tokens + other.tokens,
-            concepts=self.concepts + other.concepts,
-            relations=self.relations + other.relations,
-            reentrancies=self.reentrancies + other.reentrancies,
-            negations=self.negations + other.negations,
-            named_entities=self.named_entities + other.named_entities,
-            missing_snt=self.missing_snt + other.missing_snt,
-        )
+    def add(self, other: "StatsRow") -> "StatsRow":
+        return replace(self, **{f.name: getattr(self, f.name) + getattr(other, f.name)
+                                for f in fields(self) if f.name != "source"})
 
 
 @dataclass(frozen=True)
@@ -615,18 +604,18 @@ class StatsReport:
 
 
 def _doc_stats(g: SemGraph, source: str) -> StatsRow:
-    ng = flip_inverses(g)
-    indegree: Counter[str] = Counter(t for _, _, t in ng.edges)
+    triples = _prepare(g)
+    indegree: Counter[str] = Counter(t.target for t in triples if t.kind == "relation")
     snt = g.metadata.get("snt")
     return StatsRow(
         source=source,
         sentences=1,
         tokens=len(snt.split()) if snt else 0,
-        concepts=len(ng.instances),
-        relations=len(ng.edges) + len(ng.attributes),
+        concepts=sum(_concept_bag(triples).values()),
+        relations=sum(1 for t in triples if t.kind in ("relation", "attribute")),
         reentrancies=sum(max(0, n - 1) for n in indegree.values()),
-        negations=sum(1 for _, r, v in ng.attributes if r == ":polarity" and v == "-"),
-        named_entities=sum(1 for _, r, _ in ng.edges if r == ":name"),
+        negations=sum(_negation_bag(triples).values()),
+        named_entities=sum(_name_bag(triples).values()),
         missing_snt=0 if snt else 1,
     )
 
@@ -640,25 +629,20 @@ def corpus_stats(corpus: Sequence[SemGraph], source_key: str | None = None) -> S
     reentrancies sum max(0, in-degree - 1) over variables once inverse
     edges are flipped. Directed cycles are accepted.
     """
-    empty = StatsRow("", 0, 0, 0, 0, 0, 0, 0)
     by_source: dict[str, StatsRow] = {}
-    order: list[str] = []
     total = StatsRow("total", 0, 0, 0, 0, 0, 0, 0)
-    for i, g in enumerate(corpus):
+    for g in corpus:
         source = g.metadata.get(source_key, "(unknown)") if source_key else "all"
         row = _doc_stats(g, source)
-        if source not in by_source:
-            by_source[source] = empty
-            order.append(source)
-        by_source[source] = by_source[source].add(row, source=source)
-        total = total.add(row, source="total")
+        by_source[source] = by_source[source].add(row) if source in by_source else row
+        total = total.add(row)
     warnings = []
     if total.missing_snt:
         warnings.append(
             f"{total.missing_snt} document(s) lack 'snt' metadata; their token counts are omitted"
         )
     return StatsReport(
-        rows=tuple(by_source[s] for s in order),
+        rows=tuple(by_source.values()),
         total=total,
         warnings=tuple(warnings),
     )

@@ -243,9 +243,6 @@ class OverrideTable:
     def by_key(self) -> dict[tuple[str, str, int], str]:
         return dict(self.entries)
 
-    def get(self, key: tuple[str, str, int]) -> str | None:
-        return self.by_key.get(key)
-
     def merged_with(self, other: "OverrideTable") -> "OverrideTable":
         merged = dict(self.entries)
         merged.update(other.entries)
@@ -297,10 +294,6 @@ class MappingResult:
     provenance: str  # 'rule' | 'override' | 'unmapped'
     rule_index: int | None = None
 
-    @property
-    def mapped(self) -> bool:
-        return self.role is not None
-
 
 def map_argument(
     arg: FrameArgument,
@@ -312,7 +305,7 @@ def map_argument(
         if rule.matches(arg):
             return MappingResult(role=rule.target, provenance="rule", rule_index=rule.priority)
     if overrides is not None:
-        role = overrides.get(arg.key)
+        role = overrides.by_key.get(arg.key)
         if role is not None:
             return MappingResult(role=role, provenance="override")
     return MappingResult(role=None, provenance="unmapped")
@@ -341,7 +334,7 @@ def map_catalog(
         result = map_argument(arg, rules, overrides)
         table[arg.key] = result
         by_provenance[result.provenance] += 1
-        if not result.mapped:
+        if result.role is None:
             unmapped.append(arg.key)
     report = CoverageReport(
         total=len(catalog.arguments),

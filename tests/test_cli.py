@@ -111,6 +111,19 @@ class TestConvert:
         # d047 now falls to the ad-hoc check instead of the exclusion list
         assert "drop\td047\tadhoc" in report.read_text()
 
+    def test_relabel_collision_flagged_not_fatal(self, runner, data_dir, tmp_path):
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("# ::id x\n(t / tell-01 :ARG0 (b / boy) :ARG2 (g / girl) :beneficiary g)\n\n"
+                          "# ::id y\n(c / cat)\n", encoding="utf-8")
+        out, report = tmp_path / "out.txt", tmp_path / "report.txt"
+        result = invoke(runner, "convert", corpus, out, "--catalog", data_dir / "fixture_catalog.tsv",
+                        "--report", report)
+        assert result.exit_code == 0
+        assert [g.metadata["id"] for g in read_corpus(out)] == ["x", "y"]
+        flags = [line for line in report.read_text().splitlines() if line.startswith("flag")]
+        assert flags == ["flag\tx\ttell-01 :ARG2 collides with :benefactive",
+                         "flag\tx\ttell-01 :beneficiary collides with :benefactive"]
+
 
 class TestScore:
     def test_self_comparison_all_ones(self, runner, data_dir):

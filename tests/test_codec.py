@@ -15,6 +15,7 @@ from wiser.codec import (
     serialize_graph,
 )
 from wiser.graph import (
+    MARKER_CONSTANTS,
     GraphError,
     SemGraph,
     Triple,
@@ -27,6 +28,17 @@ from wiser.graph import (
 
 def roundtrip(g: SemGraph) -> SemGraph:
     return parse_graph(serialize_graph(g))
+
+
+def rename_variable(g: SemGraph, old: str, new: str) -> SemGraph:
+    def r(v: str) -> str:
+        return new if v == old else v
+
+    return SemGraph.build(
+        r(g.root), [(r(v), c) for v, c in g.instances],
+        [(r(s), role, r(t)) for s, role, t in g.edges],
+        [(r(s), role, value) for s, role, value in g.attributes],
+    )
 
 
 class TestParse:
@@ -83,6 +95,7 @@ class TestParse:
         ("(c / cat :actor (c / dog))", "conflicting concept"),
         ("(c / cat actor (d / dog))", "must start with ':'"),
         ("(c / cat :actor dog)", "dangling variable reference"),
+        ('(a / x :wiki "abc)', "unterminated string (line 1, column 14)"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as exc:
@@ -141,6 +154,10 @@ class TestSerialize:
             back = roundtrip(g)
             assert canonical_triples(back) == canonical_triples(g)
             assert len(back.reentrant_variables()) == len(g.reentrant_variables())
+            # A variable named like a marker constant must not capture that constant.
+            for marker in sorted(MARKER_CONSTANTS):
+                renamed = rename_variable(g, "v0", marker)
+                assert canonical_triples(roundtrip(renamed)) == canonical_triples(renamed)
 
     def test_backward_only_node_rendered_inverse(self):
         g = SemGraph.build(

@@ -5,6 +5,7 @@ import pytest
 from wiser.codec import canonical_serialize, corpus_text, parse_graph
 from wiser.convert import (
     ConversionConfig,
+    DropEvent,
     SplitError,
     UnmappedArgumentError,
     convert_corpus,
@@ -16,7 +17,10 @@ from wiser.convert import (
     trim_corpus,
 )
 from wiser.graph import extract_triples
-from wiser.rules import REIFIED_OVERRIDES
+from wiser.rules import REIFIED_OVERRIDES, load_overrides, map_catalog
+
+# tell-01 :ARG2 becomes :benefactive, and so does the non-core :beneficiary.
+COLLIDING = "# ::id x\n(t / tell-01 :ARG0 (b / boy) :ARG2 (g / girl) :beneficiary g)"
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,17 @@ class TestConvertGraph:
         bare = convert_graph(parse_graph("(n / nod :ARG1 (h / head))"), config)
         assert ("n", ":ARG1", "h") in bare.edges
 
+    @pytest.mark.parametrize("overrides_seen_by_mapping", [False, True])
+    def test_override_reaches_sensed_and_bare_lemma(self, fixture_catalog, builtin_rules, data_dir,
+                                                     overrides_seen_by_mapping):
+        overrides = REIFIED_OVERRIDES.merged_with(load_overrides(data_dir / "fixture_overrides.tsv"))
+        mapping, _ = map_catalog(fixture_catalog, builtin_rules,
+                                 overrides if overrides_seen_by_mapping else None)
+        config = ConversionConfig(mode="wiser_with_wsd", mapping=mapping, overrides=overrides)
+        for concept in ("bow-02", "bow"):
+            out = convert_graph(parse_graph(f"(b / {concept} :ARG2 (t / they))"), config)
+            assert ("b", ":accompanier", "t") in out.edges, concept
+
     def test_noncore_relabels(self, wiser_config):
         g = parse_graph("(g / go-02 :ARG0 (p / parade) :source (s / station) "
                         ":destination (q / square) :medium (n / newspaper) "
@@ -150,13 +165,6 @@ class TestTrim:
     def test_override_covered_senses_kept(self, fixture_catalog, wiser_config):
         corpus = [parse_graph("(h / have-rel-role-91 :ARG0 (s / she) :ARG1 (i / i))")]
         kept, _ = trim_corpus(corpus, fixture_catalog, wiser_config)
-        assert len(kept) == 1
-
-    def test_adhoc_kept_when_flag_disabled(self, fixture_catalog, fixture_mapping):
-        config = ConversionConfig(mode="wiser", mapping=fixture_mapping,
-                                  overrides=REIFIED_OVERRIDES, drop_adhoc=False)
-        corpus = [parse_graph("(p / pack-sand-00 :ARG0 (t / they))")]
-        kept, _ = trim_corpus(corpus, fixture_catalog, config)
         assert len(kept) == 1
 
 
@@ -256,6 +264,37 @@ class TestConvertCorpus:
         _, report = convert_corpus(corpus, fixture_catalog, config)
         events = report.drops if on_unmapped == "drop_sentence" else report.drops + report.flags
         assert [e.doc_id for e in events] == ["doc1", "doc3"]
+
+
+class TestRelabelCollision:
+    def test_colliding_edges_keep_input_labels(self, fixture_catalog, wiser_config):
+        corpus = [parse_graph(COLLIDING), parse_graph("# ::id y\n(c / cat)")]
+        out, report = convert_corpus(corpus, fixture_catalog, wiser_config)
+        assert [g.metadata["id"] for g in out] == ["x", "y"]
+        assert out[0].edges == (("t", ":actor", "b"), ("t", ":ARG2", "g"), ("t", ":beneficiary", "g"))
+        assert [(f.doc_id, f.detail) for f in report.flags] == [
+            ("x", "tell-01 :ARG2 collides with :benefactive"),
+            ("x", "tell-01 :beneficiary collides with :benefactive"),
+        ]
+        assert report.relabeled_edges == 1
+        assert report.role_distribution == (("actor", 0, 1),)
+
+    def test_relabel_onto_unchanged_edge_flags_once(self, fixture_catalog, wiser_config):
+        corpus = [parse_graph("(t / tell-01 :ARG2 (g / girl) :benefactive g)")]
+        out, report = convert_corpus(corpus, fixture_catalog, wiser_config)
+        assert out[0].edges == (("t", ":ARG2", "g"), ("t", ":benefactive", "g"))
+        assert [f.detail for f in report.flags] == ["tell-01 :ARG2 collides with :benefactive"]
+        assert report.relabeled_edges == 0
+        assert report.role_distribution == ()
+
+    def test_drop_policy_drops_document(self, fixture_catalog, fixture_mapping):
+        config = ConversionConfig(mode="wiser", mapping=fixture_mapping,
+                                  overrides=REIFIED_OVERRIDES, on_unmapped="drop_sentence")
+        corpus = [parse_graph(COLLIDING), parse_graph("# ::id y\n(c / cat)")]
+        out, report = convert_corpus(corpus, fixture_catalog, config)
+        assert [g.metadata["id"] for g in out] == ["y"]
+        assert report.drops == (DropEvent("x", "unmapped", "tell-01 :ARG2 collides with :benefactive"),)
+        assert report.relabeled_edges == 0
 
 
 class TestSplit:
