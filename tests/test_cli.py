@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from wiser.cli import main
 from wiser.codec import read_corpus, write_corpus
 from wiser.convert import ConversionConfig, trim_corpus
+from wiser.metrics import METRIC_NAMES
 from wiser.rules import REIFIED_OVERRIDES
 
 pytestmark = pytest.mark.usefixtures("data_dir")
@@ -191,6 +192,14 @@ class TestScore:
                         "--metrics", "smatch", "--per-doc")
         doc_lines = [l for l in result.output.splitlines() if l.startswith("doc\t")]
         assert len(doc_lines) == 3
+
+    @pytest.mark.parametrize("scheme", ["wiser", "amr"])
+    def test_per_doc_matches_golden(self, runner, data_dir, scheme):
+        result = invoke(runner, "score", "--gold", data_dir / "corpus50.txt",
+                        "--pred", data_dir / "corpus50_damaged.txt",
+                        "--metrics", ",".join(METRIC_NAMES), "--scheme", scheme, "--per-doc")
+        golden = data_dir / "golden" / f"score_corpus50_damaged_{scheme}.txt"
+        assert result.output == golden.read_text(encoding="utf-8")
 
     def test_manifest_line_present_and_stable(self, runner, data_dir):
         gold = data_dir / "golden" / "corpus50_wiser.txt"

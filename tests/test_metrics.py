@@ -7,7 +7,7 @@ import pytest
 
 from graphgen import random_graph, random_pair
 from wiser import metrics
-from wiser.codec import parse_graph
+from wiser.codec import parse_graph, read_corpus
 from wiser.convert import ConversionConfig, convert_graph
 from wiser.graph import SemGraph, extract_triples, flip_inverses, normalize
 from wiser.metrics import (
@@ -125,6 +125,26 @@ class TestExactOracle:
             if hill.matched == exact.matched:
                 equal += 1
         assert equal / total >= 0.98
+
+
+class TestGoldenMappings:
+    """``smatch`` mappings and counts, locked in ``golden/smatch_mappings.tsv``:
+    50 seeded random pairs, and three synthetic long pairs (15, 20 and 25
+    gold variables, prediction first in each file) under two seeds."""
+
+    def test_mappings_match_golden(self, data_dir):
+        lines = []
+        rng = random.Random("golden-mappings")
+        cases = [(f"random-{i}", i, random_pair(rng, 10)) for i in range(50)]
+        for n in (15, 20, 25):
+            pair = read_corpus(data_dir / f"long_pair_{n}.txt")
+            cases += [(f"long-{n}", seed, pair) for seed in (0, 1)]
+        for name, seed, (a, b) in cases:
+            alignment = smatch(a, b, 5, seed)[1]
+            mapping = " ".join(f"{x}>{y}" for x, y in alignment.mapping)
+            lines.append(f"{name}\t{seed}\t{alignment.matched}\t{mapping}")
+        golden = (data_dir / "golden" / "smatch_mappings.tsv").read_text(encoding="utf-8")
+        assert lines == golden.splitlines()[1:]
 
 
 class TestFineGrained:
