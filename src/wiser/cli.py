@@ -9,12 +9,22 @@ stdout finish with a ``manifest`` line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import click
+
+# CPython's built-in SHA-256, as ``random`` uses it: ``hashlib`` loads the
+# OpenSSL library, which adds about 3.5 MB to the resident size of every
+# process that imports the CLI.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .codec import read_corpus, write_corpus
@@ -49,7 +59,7 @@ CLI_MODES = {
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
@@ -69,6 +79,16 @@ def _manifest(command: str, config: dict, inputs: dict[str, str | None], seed: i
 
 def _write_manifest(manifest: str, output_path: str) -> None:
     Path(output_path + ".manifest.json").write_text(manifest + "\n", encoding="utf-8")
+
+
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current standard stream, named explicitly.
+
+    With no ``file``, click caches a wrapper per stream it has written to and
+    keeps each such stream alive for the rest of the process, so a process
+    that runs many commands with stdout redirected keeps every output.
+    """
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
 class _Main(click.Group):
@@ -139,7 +159,7 @@ def convert(input_corpus, output_corpus, mode, catalog, overrides, exclude, on_u
         {"input": input_corpus, "catalog": catalog, "overrides": overrides, "exclude": exclude},
     )
     _write_manifest(manifest, output_corpus)
-    click.echo(f"wrote {len(converted)} of {len(corpus)} documents to {output_corpus}")
+    _echo(f"wrote {len(converted)} of {len(corpus)} documents to {output_corpus}")
 
 
 @main.command()
@@ -172,10 +192,10 @@ def score(gold, pred, metrics_list, scheme, restarts, seed, exact, max_vars, per
         for i, entries in enumerate(per_doc_entries):
             name = doc_id(gold_corpus[i], i)
             for metric in names:
-                click.echo(f"doc\t{name}\t{entries[metric].line()}")
+                _echo(f"doc\t{name}\t{entries[metric].line()}")
     for metric in names:
-        click.echo(totals[metric].line())
-    click.echo("manifest\t" + _manifest(
+        _echo(totals[metric].line())
+    _echo("manifest\t" + _manifest(
         "score",
         {"metrics": names, "scheme": scheme, "restarts": restarts,
          "exact": exact, "max_vars": max_vars, "per_doc": per_doc},
@@ -199,17 +219,17 @@ def stats(corpus_path, source_key, machine):
     if machine:
         for row in rows:
             values = "\t".join(str(getattr(row, f)) for f in fields)
-            click.echo(f"{row.source}\t{values}")
+            _echo(f"{row.source}\t{values}")
     else:
         header = ["source", *fields]
         table = [[row.source, *(str(getattr(row, f)) for f in fields)] for row in rows]
         widths = [max(len(r[i]) for r in [header, *table]) for i in range(len(header))]
-        click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        _echo("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for r in table:
-            click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+            _echo("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     for warning in report.warnings:
-        click.echo(f"warning: {warning}", err=True)
-    click.echo("manifest\t" + _manifest(
+        _echo(f"warning: {warning}", err=True)
+    _echo("manifest\t" + _manifest(
         "stats", {"by_source": source_key, "machine": machine}, {"corpus": corpus_path}))
 
 
@@ -242,10 +262,10 @@ def iaa(batches_path, restarts, seed):
             batches.append(IaaBatch(group=group, batch_id=batch_id, score=score_value))
     report = iaa_report(batches)
     for batch in report.batches:
-        click.echo(f"batch\t{batch.group}\t{batch.batch_id}\t{batch.score:.4f}")
+        _echo(f"batch\t{batch.group}\t{batch.batch_id}\t{batch.score:.4f}")
     for group, mean in report.macro_averages.items():
-        click.echo(f"macro\t{group}\t{mean:.4f}")
-    click.echo("manifest\t" + _manifest(
+        _echo(f"macro\t{group}\t{mean:.4f}")
+    _echo("manifest\t" + _manifest(
         "iaa", {"restarts": restarts}, {"batches": batches_path}, seed=seed))
 
 
@@ -260,9 +280,9 @@ def frames(subreport, catalog, machine):
     sep = "\t" if machine else "  "
     if subreport == "totals":
         counts = catalog_stats(cat)
-        click.echo(f"predicates{sep}{counts.predicates}")
-        click.echo(f"senses{sep}{counts.senses}")
-        click.echo(f"arguments{sep}{counts.arguments}")
+        _echo(f"predicates{sep}{counts.predicates}")
+        _echo(f"senses{sep}{counts.senses}")
+        _echo(f"arguments{sep}{counts.arguments}")
     elif subreport in ("ftag", "vnrole"):
         matrix = ftag_by_arg(cat) if subreport == "ftag" else vnrole_by_arg(cat).matrix
         cols = list(matrix.cols)
@@ -272,18 +292,18 @@ def frames(subreport, catalog, machine):
         rows.append(["total", *(str(matrix.col_total(c)) for c in cols), str(matrix.total)])
         if machine:
             for r in rows:
-                click.echo("\t".join(r))
+                _echo("\t".join(r))
         else:
             widths = [max(len(row[i]) for row in [header, *rows]) for i in range(len(header))]
-            click.echo("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+            _echo("  ".join(h.rjust(w) for h, w in zip(header, widths)))
             for r in rows:
-                click.echo("  ".join(v.rjust(w) for v, w in zip(r, widths)))
+                _echo("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     else:
         report = vnrole_by_arg(cat)
-        click.echo(f"mapped_arguments{sep}{report.mapped_arguments}")
-        click.echo(f"total_arguments{sep}{report.total_arguments}")
-        click.echo(f"coverage{sep}{report.coverage:.4f}")
-    click.echo("manifest\t" + _manifest(
+        _echo(f"mapped_arguments{sep}{report.mapped_arguments}")
+        _echo(f"total_arguments{sep}{report.total_arguments}")
+        _echo(f"coverage{sep}{report.coverage:.4f}")
+    _echo("manifest\t" + _manifest(
         "frames", {"subreport": subreport, "machine": machine}, {"catalog": catalog}))
 
 
@@ -307,7 +327,7 @@ def split(input_corpus, spec_entries, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     for name, graphs in parts.items():
         write_corpus(graphs, out / f"{name}.txt")
-        click.echo(f"{name}\t{len(graphs)}")
+        _echo(f"{name}\t{len(graphs)}")
     manifest = _manifest("split", {"splits": sorted(spec)},
                          {"input": input_corpus, **spec})
     _write_manifest(manifest, str(Path(out_dir) / "split"))

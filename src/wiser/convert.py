@@ -16,7 +16,9 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .frames import Catalog
-from .graph import GraphError, SemGraph, invert_role, is_inverse_role, split_sense, strip_sense
+from .graph import (
+    GraphError, SemGraph, flip_edge, invert_role, is_inverse_role, split_sense, strip_sense,
+)
 from .rules import MappingResult, OverrideTable, noncore_relabel
 
 # mode -> (relabel pass, strip pass)
@@ -223,14 +225,22 @@ def _relabel_edges(g: SemGraph, config: ConversionConfig, outcome: _GraphOutcome
                 key = (role, argn)
         edges.append((source, new_label, target))
         keys.append(key)
-    # A relabel that lands on another output edge is undone. Undoing only
-    # restores input edges, which are distinct, so this ends.
-    while len(set(edges)) < len(edges):
-        counts = Counter(edges)
-        for i, (edge, old) in enumerate(zip(edges, g.edges)):
-            if counts[edge] > 1 and edge != old:
-                unconverted(f"{g.concept_of(old[0])} {old[1]} collides with {edge[1]}")
-                edges[i] = old
+    # A relabel that lands on another edge once inverse edges are flipped,
+    # as scoring flips them, is undone: two input facts would become one.
+    # Each pass undoes a relabel, and an unchanged edge only meets another
+    # unchanged one when the input held that fact twice, so this ends.
+    while len(set(map(flip_edge, edges))) < len(edges):
+        origins: dict[tuple[str, str, str], set] = defaultdict(set)
+        for edge, old in zip(edges, g.edges):
+            origins[flip_edge(edge)].add(flip_edge(old))
+        clashes = [i for i, (edge, old) in enumerate(zip(edges, g.edges))
+                   if edge != old and len(origins[flip_edge(edge)]) > 1]
+        if not clashes:
+            break
+        for i in clashes:
+            old = g.edges[i]
+            unconverted(f"{g.concept_of(old[0])} {old[1]} collides with {edges[i][1]}")
+            edges[i] = old
     for edge, old, key in zip(edges, g.edges, keys):
         if edge != old:
             outcome.relabeled += 1

@@ -191,22 +191,22 @@ def _validate(g: SemGraph) -> None:
             raise GraphError(f"variables not connected to root: {', '.join(missing)}")
 
 
+def flip_edge(edge: tuple[str, str, str]) -> tuple[str, str, str]:
+    """An inverse ('-of') edge in its base direction; any other edge as given."""
+    s, r, t = edge
+    return (t, invert_role(r), s) if is_inverse_role(r) else edge
+
+
 def flip_inverses(g: SemGraph) -> SemGraph:
     """Flip inverse ('-of') edges to their base direction and sort triples.
 
     Roles with no base form (see :data:`NON_INVERTIBLE`) are left as-is.
     Directed cycles are kept: scoring and statistics accept them.
     """
-    flipped = []
-    for s, r, t in g.edges:
-        if is_inverse_role(r):
-            flipped.append((t, invert_role(r), s))
-        else:
-            flipped.append((s, r, t))
     return SemGraph(
         root=g.root,
         instances=tuple(sorted(g.instances)),
-        edges=tuple(sorted(set(flipped))),
+        edges=tuple(sorted(set(map(flip_edge, g.edges)))),
         attributes=tuple(sorted(set(g.attributes))),
         meta=g.meta,
     )

@@ -16,7 +16,7 @@ from wiser.convert import (
     strip_sense,
     trim_corpus,
 )
-from wiser.graph import extract_triples
+from wiser.graph import canonical_triples, extract_triples
 from wiser.rules import REIFIED_OVERRIDES, load_overrides, map_catalog
 
 # tell-01 :ARG2 becomes :benefactive, and so does the non-core :beneficiary.
@@ -286,6 +286,24 @@ class TestRelabelCollision:
         assert [f.detail for f in report.flags] == ["tell-01 :ARG2 collides with :benefactive"]
         assert report.relabeled_edges == 0
         assert report.role_distribution == ()
+
+    def test_relabel_onto_inverse_form_is_flagged(self, fixture_catalog, wiser_config):
+        # :ARG2 becomes :benefactive and :beneficiary-of becomes
+        # :benefactive-of: one fact once inverse edges are flipped.
+        g = parse_graph("(t / tell-01 :ARG2 (g / girl :beneficiary-of t))")
+        out, report = convert_corpus([g], fixture_catalog, wiser_config)
+        assert out[0].edges == g.edges
+        assert [f.detail for f in report.flags] == [
+            "tell-01 :ARG2 collides with :benefactive",
+            "girl :beneficiary-of collides with :benefactive-of",
+        ]
+        assert len(canonical_triples(out[0])) == len(canonical_triples(g)) == 5
+
+    def test_same_fact_in_both_directions_is_not_a_collision(self, fixture_catalog, wiser_config):
+        g = parse_graph("(t / tell-01 :ARG2 (g / girl :ARG2-of t))")
+        out, report = convert_corpus([g], fixture_catalog, wiser_config)
+        assert out[0].edges == (("t", ":benefactive", "g"), ("g", ":benefactive-of", "t"))
+        assert report.flags == ()
 
     def test_drop_policy_drops_document(self, fixture_catalog, fixture_mapping):
         config = ConversionConfig(mode="wiser", mapping=fixture_mapping,

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgen import random_graph, random_pair
 from wiser import metrics
@@ -125,6 +127,148 @@ class TestExactOracle:
             if hill.matched == exact.matched:
                 equal += 1
         assert equal / total >= 0.98
+
+
+def _views(a: SemGraph, b: SemGraph):
+    return (metrics._View.from_triples(metrics._prepare(a)),
+            metrics._View.from_triples(metrics._prepare(b)))
+
+
+def _with_loops(g: SemGraph, rng: random.Random) -> SemGraph:
+    """``g`` plus up to two self-loops and a back edge, so relations from a
+    variable to itself and directed cycles are searched too."""
+    variables = [v for v, _ in g.instances]
+    edges = list(g.edges)
+    for _ in range(rng.randint(0, 2)):
+        v = rng.choice(variables)
+        edges.append((v, rng.choice((":ARG0", ":mod")), v))
+    if len(variables) > 1 and rng.random() < 0.5:
+        edges.append((variables[-1], ":ARG1", variables[0]))
+    return dataclasses.replace(g, edges=tuple(dict.fromkeys(edges)))
+
+
+def _random_mapping(view_a, view_b, rng: random.Random) -> dict[str, str]:
+    images = list(view_b.variables) + [None] * len(view_a.variables)
+    rng.shuffle(images)
+    return {a: b for a, b in zip(view_a.variables, images) if b is not None}
+
+
+class TestDeltaScoring:
+    """The search scores each move by the change it makes; every such delta
+    must equal the exhaustive recount of ``_match_count`` (the oracle)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_every_move_delta_equals_recount(self, seed):
+        rng = random.Random(f"delta-oracle:{seed}")
+        a, b = random_pair(rng, 9)
+        view_a, view_b = _views(_with_loops(a, rng), _with_loops(b, rng))
+        index = metrics._PairIndex(view_a, view_b)
+        climb = metrics._Climb(index, _random_mapping(view_a, view_b, rng))
+        vars_a, vars_b = view_a.variables, view_b.variables
+        for _ in range(3):  # the state after applied moves must stay exact too
+            mapping = climb.mapping()
+            before = metrics._match_count(view_a, view_b, mapping)
+            assert climb.score == before
+            for i, va in enumerate(vars_a):
+                for j, vb in enumerate(vars_b):
+                    if vb not in mapping.values():
+                        after = metrics._match_count(view_a, view_b, {**mapping, va: vb})
+                        assert climb.reassign_gain(i, j) == after - before
+                for k in range(i + 1, len(vars_a)):
+                    vk = vars_a[k]
+                    if va in mapping or vk in mapping:
+                        swapped = {x: y for x, y in mapping.items() if x not in (va, vk)}
+                        swapped.update({x: mapping[y] for x, y in ((va, vk), (vk, va)) if y in mapping})
+                        after = metrics._match_count(view_a, view_b, swapped)
+                        assert climb.swap_gain(i, k) == after - before
+            move = climb.best_move()
+            if move is None:
+                break
+            climb.apply(*move)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_climb_score_equals_recount(self, seed):
+        rng = random.Random(f"climb-oracle:{seed}")
+        a, b = random_pair(rng, 10)
+        view_a, view_b = _views(_with_loops(a, rng), _with_loops(b, rng))
+        index = metrics._PairIndex(view_a, view_b)
+        bound = metrics._label_bound(view_a, view_b)
+        for start in (metrics._seeded_start(view_a, view_b), _random_mapping(view_a, view_b, rng)):
+            climb = metrics._Climb(index, start)
+            # Every step must raise the count, which cannot pass the bound,
+            # so a climb that takes more steps than that never ends.
+            for _ in range(bound + 1):
+                move = climb.best_move()
+                if move is None:
+                    break
+                assert move[0] > 0
+                climb.apply(*move)
+            assert move is None, "the climb did not end"
+            mapping, score = metrics._hill_climb(index, start)
+            assert (mapping, score) == (climb.mapping(), climb.score)
+            assert score == metrics._match_count(view_a, view_b, mapping)
+            assert metrics._match_count(view_a, view_b, start) <= score <= bound
+            assert len(set(mapping.values())) == len(mapping)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_renamed_copy_scores_one(self, seed):
+        rng = random.Random(f"renamed-copy:{seed}")
+        g = random_graph(rng, 12)
+        names = [f"w{i}" for i in range(len(g.instances))]
+        rng.shuffle(names)
+        new = dict(zip((v for v, _ in g.instances), names))
+        renamed = SemGraph.build(
+            new[g.root], [(new[v], c) for v, c in g.instances],
+            [(new[s], r, new[t]) for s, r, t in g.edges],
+            [(new[s], r, v) for s, r, v in g.attributes],
+        )
+        entry, alignment = smatch(renamed, g, 5, seed)
+        assert entry.f1 == 1.0
+        assert dict(alignment.mapping) == {n: v for v, n in new.items()}
+
+
+class TestEarlyStop:
+    """``_align`` stops once a climb reaches the label-bag bound, which no
+    mapping can exceed; the alignment must equal the one every restart gives."""
+
+    def test_bound_stop_changes_nothing(self, corpus50, data_dir, monkeypatch):
+        pred, gold = pair_by_id(read_corpus(data_dir / "corpus50_damaged.txt"), corpus50)
+        views = [
+            _views_of(transform_triples(metrics._prepare(p), m), transform_triples(metrics._prepare(g), m))
+            for p, g in zip(pred, gold) for m in METRIC_NAMES if m not in metrics._BAGS
+        ]
+        climbs = []
+        climb, bound_of = metrics._hill_climb, metrics._label_bound
+
+        def counted(*args):
+            climbs[-1] += 1
+            return climb(*args)
+
+        monkeypatch.setattr(metrics, "_hill_climb", counted)
+        stopped_early = []
+        for restarts in range(1, 6):
+            runs = {}
+            for bound in (True, False):
+                # A bound no count equals turns the early stop off.
+                monkeypatch.setattr(metrics, "_label_bound", bound_of if bound else lambda *views: -1)
+                alignments = []
+                for i, (va, vb) in enumerate(views):
+                    climbs.append(0)
+                    alignments.append(metrics._align(va, vb, restarts, i))
+                runs[bound] = alignments, climbs[-len(views):]
+            assert runs[True][0] == runs[False][0]
+            assert runs[False][1] == [restarts] * len(views)
+            stopped_early.append(sum(n < restarts for n in runs[True][1]))
+        # Of the 300 searches (50 pairs, 6 alignment metrics), those that
+        # skip at least one restart.
+        assert stopped_early == [0, 240, 285, 292, 297]
+
+
+def _views_of(triples_a, triples_b):
+    return metrics._View.from_triples(triples_a), metrics._View.from_triples(triples_b)
 
 
 class TestGoldenMappings:
