@@ -201,6 +201,14 @@ class TestScore:
         golden = data_dir / "golden" / f"score_corpus50_damaged_{scheme}.txt"
         assert result.output == golden.read_text(encoding="utf-8")
 
+    def test_per_doc_exact_matches_golden(self, runner, data_dir):
+        # The amr golden is checked by CI; each scheme takes about 2 s.
+        result = invoke(runner, "score", "--gold", data_dir / "corpus50.txt",
+                        "--pred", data_dir / "corpus50_damaged.txt",
+                        "--metrics", ",".join(METRIC_NAMES), "--per-doc", "--exact")
+        golden = data_dir / "golden" / "score_corpus50_damaged_exact_wiser.txt"
+        assert result.output == golden.read_text(encoding="utf-8")
+
     def test_manifest_line_present_and_stable(self, runner, data_dir):
         gold = data_dir / "golden" / "corpus50_wiser.txt"
         outputs = {invoke(runner, "score", "--gold", gold, "--pred", gold,
