@@ -3,6 +3,7 @@ evaluating semantic graphs with Smatch-family metrics."""
 
 __version__ = "0.1.0"
 
+from .align import Alignment
 from .codec import (
     ParseError,
     canonical_serialize,
@@ -25,7 +26,6 @@ from .convert import (
 from .frames import Catalog, FrameArgument, catalog_stats, ftag_by_arg, load_catalog, vnrole_by_arg
 from .graph import GraphError, SemGraph, Triple, canonical_triples, extract_triples, normalize
 from .metrics import (
-    Alignment,
     ScoreEntry,
     corpus_stats,
     fine_grained,

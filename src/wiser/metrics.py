@@ -1,32 +1,19 @@
 """Graph-matching evaluation: Smatch, fine-grained metrics, agreement, stats.
 
-Smatch searches for the injective variable mapping between two graphs that
-maximizes the number of matched triples, then scores precision against the
-predicted graph's triples and recall against the gold graph's. The search
-runs one seeded start (greedy pairing of equal concepts) plus random
-restarts, each improved by single-reassign/swap hill climbing; an
-exhaustive oracle is available for small graphs. Fine-grained metrics are
-Smatch over a transformed or restricted triple set, or bag F1 where no
-alignment is needed. All scoring is deterministic for a fixed seed.
-
-The climb scores each move by the change it makes to the matched count
-(Cai & Knight 2013): only the triples that touch the moved variables are
-looked at, through a per-pair index of interned variables. Each gain is
-exact, so every step raises the count and the climb ends. The restarts
-stop early once a climb reaches the label-bag bound, which no mapping can
-exceed; only a strictly better mapping replaces the best, so this changes
-no score and no mapping. ``_match_count``, the full recount, stays as the
-oracle for tests and for the exhaustive search.
+Smatch scores precision against the predicted graph's triples and recall
+against the gold graph's, over the best variable alignment that
+:mod:`wiser.align` finds. Fine-grained metrics are Smatch over a
+transformed or restricted triple set, or bag F1 where no alignment is
+needed. All scoring is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields, replace
-from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
+from .align import Alignment, PairIndex, align, align_exact
 from .graph import SemGraph, Triple, extract_triples, flip_inverses, invert_role, strip_sense
 
 METRIC_NAMES = (
@@ -103,299 +90,6 @@ def combine_entries(metric: str, entries: Iterable[ScoreEntry]) -> ScoreEntry:
     return ScoreEntry(metric, matched, pred, gold)
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """Injective partial variable mapping and its matched-triple count."""
-
-    mapping: tuple[tuple[str, str], ...]
-    matched: int
-
-
-@dataclass(frozen=True)
-class _View:
-    """Triples prepared for matching plus the variables they mention."""
-
-    variables: tuple[str, ...]
-    triples: tuple[Triple, ...]
-    triple_set: frozenset[Triple]
-    concepts: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "_View":
-        triples = tuple(sorted(set(triples)))
-        variables = set()
-        concepts = []
-        for t in triples:
-            variables.add(t.source)
-            if t.kind == "relation":
-                variables.add(t.target)
-            if t.kind == "instance":
-                concepts.append((t.source, t.label))
-        return cls(
-            variables=tuple(sorted(variables)),
-            triples=triples,
-            triple_set=frozenset(triples),
-            concepts=tuple(sorted(concepts)),
-        )
-
-
-def _match_count(view_a: _View, view_b: _View, mapping: Mapping[str, str]) -> int:
-    matched = 0
-    b_set = view_b.triple_set
-    for kind, source, label, target in view_a.triples:
-        ms = mapping.get(source)
-        if ms is None:
-            continue
-        if kind == "relation":
-            mt = mapping.get(target)
-            if mt is not None and Triple(kind, ms, label, mt) in b_set:
-                matched += 1
-        elif Triple(kind, ms, label, target) in b_set:
-            matched += 1
-    return matched
-
-
-def _seeded_start(view_a: _View, view_b: _View) -> dict[str, str]:
-    by_concept: dict[str, list[str]] = defaultdict(list)
-    for var, concept in view_b.concepts:
-        by_concept[concept].append(var)
-    for vars_ in by_concept.values():
-        vars_.sort()
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for var, concept in view_a.concepts:
-        for candidate in by_concept.get(concept, ()):
-            if candidate not in used:
-                mapping[var] = candidate
-                used.add(candidate)
-                break
-    return mapping
-
-
-def _random_start(view_a: _View, view_b: _View, rng: random.Random) -> dict[str, str]:
-    targets: list[str | None] = list(view_b.variables)
-    if len(targets) < len(view_a.variables):
-        targets += [None] * (len(view_a.variables) - len(targets))
-    rng.shuffle(targets)
-    return {a: b for a, b in zip(view_a.variables, targets) if b is not None}
-
-
-class _PairIndex:
-    """One view pair with variables and relation labels interned to ints,
-    built when the pair is aligned and dropped with it.
-
-    Each side's variables are numbered in sorted order, so integer order is
-    the search's move order. ``weights[a]`` is row ``a`` of the |V_a| x |V_b|
-    table with its zero cells left out: for each image ``b``, how many of
-    the triples that touch only ``a`` (instance, attribute, top, and
-    relations from ``a`` to itself) are in B once ``a`` maps to ``b``.
-    ``incident[a]`` lists the other relation triples ``(s, label, t)`` that
-    touch ``a``, and ``neighbours[a]`` the variables at their other end. B's
-    relations are a set, and are also indexed by ``(label, target)`` and
-    ``(source, label)``.
-    """
-
-    def __init__(self, view_a: _View, view_b: _View) -> None:
-        self.views = (view_a, view_b)
-        ids_a = {v: i for i, v in enumerate(view_a.variables)}
-        ids_b = {v: i for i, v in enumerate(view_b.variables)}
-        labels: dict[str, int] = {}
-        images: dict[tuple, list[int]] = defaultdict(list)  # B variables by what they carry
-        self.relations_b: set[tuple[int, int, int]] = set()
-        self.sources_b: dict[tuple[int, int], list[int]] = defaultdict(list)
-        self.targets_b: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for kind, source, label, target in view_b.triples:
-            b = ids_b[source]
-            if kind != "relation":
-                images[kind, label, target].append(b)
-                continue
-            s, label, t = b, labels.setdefault(label, len(labels)), ids_b[target]
-            self.relations_b.add((s, label, t))
-            self.sources_b[label, t].append(s)
-            self.targets_b[s, label].append(t)
-            if s == t:
-                images["loop", label].append(s)
-        n = len(view_a.variables)
-        self.weights: list[dict[int, int]] = [{} for _ in range(n)]
-        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        self.neighbours: list[set[int]] = [set() for _ in range(n)]
-        for kind, source, label, target in view_a.triples:
-            a = ids_a[source]
-            if kind == "relation":
-                rel = (a, labels.setdefault(label, len(labels)), ids_a[target])
-                if rel[2] != a:
-                    for v, other in ((a, rel[2]), (rel[2], a)):
-                        self.incident[v].append(rel)
-                        self.neighbours[v].add(other)
-                    continue
-                key: tuple = ("loop", rel[1])
-            else:
-                key = (kind, label, target)
-            row = self.weights[a]
-            for b in images.get(key, ()):
-                row[b] = row.get(b, 0) + 1
-
-    def fit(self, a: int, m: list[int]) -> dict[int, int]:
-        """For each image ``b``, the triples of ``a`` that match when ``a``
-        alone maps to ``b`` and every other variable keeps its image in
-        ``m`` (-1 for none); images that match nothing are left out."""
-        fit = dict(self.weights[a])
-        for s, label, t in self.incident[a]:
-            if s == a:
-                found = self.sources_b.get((label, m[t]), ())
-            else:
-                found = self.targets_b.get((m[s], label), ())
-            for b in found:
-                fit[b] = fit.get(b, 0) + 1
-        return fit
-
-
-class _Climb:
-    """The state of one hill climb: ``m[a]`` is the image of A variable
-    ``a`` (-1 when unmapped), ``fits[a]`` is ``index.fit(a, m)`` and
-    ``now[a]`` is what ``a`` matches under ``m``.
-
-    A move changes only the triples that touch the variables it moves, so
-    its gain comes from those variables alone. A reassign ``a -> b`` gains
-    ``fits[a][b] - now[a]``. A swap of two variables that share no relation
-    gains the sum of its two reassigns; a swap of two that do recounts the
-    relations that touch either of them.
-    """
-
-    def __init__(self, index: _PairIndex, mapping: Mapping[str, str]) -> None:
-        view_a, view_b = index.views
-        ids_b = {v: i for i, v in enumerate(view_b.variables)}
-        self.index = index
-        self.m = [ids_b[mapping[v]] if v in mapping else -1 for v in view_a.variables]
-        self.used = {b for b in self.m if b >= 0}
-        self.score = _match_count(view_a, view_b, mapping)
-        self.fits = [index.fit(a, self.m) for a in range(len(self.m))]
-        self.now = [fit.get(b, 0) for fit, b in zip(self.fits, self.m)]
-
-    def reassign_gain(self, a: int, b: int) -> int:
-        return self.fits[a].get(b, 0) - self.now[a]
-
-    def swap_gain(self, a1: int, a2: int) -> int:
-        m, index = self.m, self.index
-        b1, b2 = m[a1], m[a2]
-        if a2 not in index.neighbours[a1]:
-            return self.reassign_gain(a1, b2) + self.reassign_gain(a2, b1)
-        touched = index.incident[a1] + [r for r in index.incident[a2] if a1 not in (r[0], r[2])]
-        before = sum((m[s], label, m[t]) in index.relations_b for s, label, t in touched)
-        m[a1], m[a2] = b2, b1
-        after = sum((m[s], label, m[t]) in index.relations_b for s, label, t in touched)
-        m[a1], m[a2] = b1, b2
-        w1, w2 = index.weights[a1], index.weights[a2]
-        return after - before + w1.get(b2, 0) - w1.get(b1, 0) + w2.get(b1, 0) - w2.get(b2, 0)
-
-    def best_move(self) -> tuple[int, int, int, bool] | None:
-        """The first move with the strictly highest positive gain, as
-        ``(gain, a, b, True)`` for a reassign ``a -> b`` or ``(gain, a1,
-        a2, False)`` for a swap, or ``None`` when no move gains. Moves come
-        in the order: every reassign by ``a`` then ``b``, then every swap
-        ``a1 < a2``."""
-        best_gain, best = 0, None
-        m, used = self.m, self.used
-        for a, fit in enumerate(self.fits):
-            # An image outside a's fit matches nothing of a: its gain is <= 0.
-            if fit and max(fit.values()) - self.now[a] > best_gain:
-                for b in sorted(fit):
-                    if b not in used and self.reassign_gain(a, b) > best_gain:
-                        best_gain, best = self.reassign_gain(a, b), (a, b, True)
-        for a1 in range(len(m)):
-            for a2 in range(a1 + 1, len(m)):
-                if (m[a1] >= 0 or m[a2] >= 0) and self.swap_gain(a1, a2) > best_gain:
-                    best_gain, best = self.swap_gain(a1, a2), (a1, a2, False)
-        return None if best is None else (best_gain, *best)
-
-    def apply(self, gain: int, x: int, y: int, reassign: bool) -> None:
-        m = self.m
-        if reassign:
-            self.used.discard(m[x])
-            self.used.add(y)
-            m[x] = y
-            moved = {x}
-        else:
-            m[x], m[y] = m[y], m[x]
-            moved = {x, y}
-        self.score += gain
-        # A fit depends on the images of the variable's neighbours only.
-        changed = set().union(*(self.index.neighbours[v] for v in moved))
-        for v in changed:
-            self.fits[v] = self.index.fit(v, m)
-        for v in changed | moved:
-            self.now[v] = self.fits[v].get(m[v], 0)
-
-    def mapping(self) -> dict[str, str]:
-        view_a, view_b = self.index.views
-        return {view_a.variables[a]: view_b.variables[b] for a, b in enumerate(self.m) if b >= 0}
-
-
-def _hill_climb(index: _PairIndex, mapping: Mapping[str, str]) -> tuple[dict[str, str], int]:
-    """Take the first strictly best positive move until none is left.
-
-    No move unmaps a variable on its own: dropping a pair can only lose
-    matches, and only a move with a positive gain is taken. Each gain is the
-    exact change in the matched count, so the score rises on every step and
-    the climb ends.
-    """
-    climb = _Climb(index, mapping)
-    while (move := climb.best_move()) is not None:
-        climb.apply(*move)
-    return climb.mapping(), climb.score
-
-
-def _label_bound(view_a: _View, view_b: _View) -> int:
-    """Most triples any mapping can match: per ``(kind, label)`` for
-    relations and ``(kind, label, target)`` otherwise, the smaller count."""
-
-    def bag(view: _View) -> Counter:
-        return Counter((t.kind, t.label, None if t.kind == "relation" else t.target)
-                       for t in view.triples)
-
-    bag_b = bag(view_b)
-    return sum(min(n, bag_b[key]) for key, n in bag(view_a).items())
-
-
-def _align(view_a: _View, view_b: _View, restarts: int, seed: int) -> Alignment:
-    index = _PairIndex(view_a, view_b)
-    bound = _label_bound(view_a, view_b)
-    rng = random.Random(seed)
-    best: tuple[dict[str, str], int] | None = None
-    for i in range(max(1, restarts)):
-        start = _seeded_start(view_a, view_b) if i == 0 else _random_start(view_a, view_b, rng)
-        mapping, score = _hill_climb(index, start)
-        if best is None or score > best[1]:
-            best = (mapping, score)
-        if best[1] == bound:
-            # Certified optimal: a later restart cannot do strictly better,
-            # and only a strictly better one replaces the best.
-            break
-    mapping, score = best
-    return Alignment(mapping=tuple(sorted(mapping.items())), matched=score)
-
-
-def _align_exact(view_a: _View, view_b: _View, max_vars: int) -> Alignment:
-    small, large = sorted((view_a.variables, view_b.variables), key=len)
-    if len(small) > max_vars:
-        raise ValueError(
-            f"exhaustive alignment refused: smaller graph has {len(small)} variables "
-            f"(bound {max_vars})"
-        )
-    a_smaller = len(view_a.variables) <= len(view_b.variables)
-    best_mapping: dict[str, str] = {}
-    best_score = -1
-    for image in permutations(large, len(small)):
-        if a_smaller:
-            mapping = dict(zip(view_a.variables, image))
-        else:
-            mapping = {a: b for b, a in zip(view_b.variables, image)}
-        score = _match_count(view_a, view_b, mapping)
-        if score > best_score:
-            best_score, best_mapping = score, mapping
-    return Alignment(mapping=tuple(sorted(best_mapping.items())), matched=max(0, best_score))
-
-
 def _prepare(g: SemGraph) -> tuple[Triple, ...]:
     """The triples every metric starts from: inverse edges flipped, cycles kept."""
     return extract_triples(flip_inverses(g))
@@ -411,13 +105,9 @@ def _align_count(
     max_vars: int,
 ) -> tuple[ScoreEntry, Alignment]:
     """Align two triple sets (variables are inferred) and count the match."""
-    view_a = _View.from_triples(triples_a)
-    view_b = _View.from_triples(triples_b)
-    if exact:
-        alignment = _align_exact(view_a, view_b, max_vars)
-    else:
-        alignment = _align(view_a, view_b, restarts, seed)
-    entry = ScoreEntry(metric, alignment.matched, len(view_a.triples), len(view_b.triples))
+    index = PairIndex(triples_a, triples_b)
+    alignment = align_exact(index, max_vars) if exact else align(index, restarts, seed)
+    entry = ScoreEntry(metric, alignment.matched, len(index.triples_a), len(index.triples_b))
     return entry, alignment
 
 

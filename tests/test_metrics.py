@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import random_graph, random_pair
-from wiser import metrics
+from oracle import View, align_exact, match_count
+from wiser import align, metrics
+from wiser.align import PairIndex
 from wiser.codec import parse_graph, read_corpus
 from wiser.convert import ConversionConfig, convert_graph
 from wiser.graph import SemGraph, extract_triples, flip_inverses, normalize
@@ -128,9 +130,29 @@ class TestExactOracle:
                 equal += 1
         assert equal / total >= 0.98
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_equals_permutation_reference(self, seed):
+        # Derived views too: relation-only ones give sides of unequal size.
+        rng = random.Random(f"exact-reference:{seed}")
+        a, b = random_pair(rng, 6)
+        metric = rng.choice([m for m in METRIC_NAMES if m not in metrics._BAGS])
+        ta, tb = (transform_triples(metrics._prepare(_with_loops(g, rng)), metric) for g in (a, b))
+        reference = align_exact(*_views(ta, tb), max_vars=6)
+        assert align.align_exact(PairIndex(ta, tb), max_vars=6) == reference
+
 
 def _views(triples_a, triples_b):
-    return metrics._View.from_triples(triples_a), metrics._View.from_triples(triples_b)
+    return View.from_triples(triples_a), View.from_triples(triples_b)
+
+
+def _ints(index: PairIndex, mapping: dict[str, str]) -> list[int]:
+    ids_b = {v: i for i, v in enumerate(index.variables_b)}
+    return [ids_b[mapping[v]] if v in mapping else -1 for v in index.variables_a]
+
+
+def _names(index: PairIndex, m: list[int]) -> dict[str, str]:
+    return {index.variables_a[a]: index.variables_b[b] for a, b in enumerate(m) if b >= 0}
 
 
 def _with_loops(g: SemGraph, rng: random.Random) -> SemGraph:
@@ -154,7 +176,7 @@ def _random_mapping(view_a, view_b, rng: random.Random) -> dict[str, str]:
 
 class TestDeltaScoring:
     """The search scores each move by the change it makes; every such delta
-    must equal the exhaustive recount of ``_match_count`` (the oracle)."""
+    must equal the exhaustive recount of ``match_count`` (the oracle)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))
@@ -162,25 +184,29 @@ class TestDeltaScoring:
         rng = random.Random(f"delta-oracle:{seed}")
         a, b = random_pair(rng, 9)
         view_a, view_b = _views(*(metrics._prepare(_with_loops(g, rng)) for g in (a, b)))
-        index = metrics._PairIndex(view_a, view_b)
-        climb = metrics._Climb(index, _random_mapping(view_a, view_b, rng))
+        index = PairIndex(view_a.triples, view_b.triples)
+        climb = align._Climb(index, _ints(index, _random_mapping(view_a, view_b, rng)))
         vars_a, vars_b = view_a.variables, view_b.variables
+        assert (index.variables_a, index.variables_b) == (vars_a, vars_b)
         for _ in range(3):  # the state after applied moves must stay exact too
-            mapping = climb.mapping()
-            before = metrics._match_count(view_a, view_b, mapping)
+            mapping = _names(index, climb.m)
+            before = match_count(view_a, view_b, mapping)
             assert climb.score == before
             for i, va in enumerate(vars_a):
                 for j, vb in enumerate(vars_b):
                     if vb not in mapping.values():
-                        after = metrics._match_count(view_a, view_b, {**mapping, va: vb})
+                        reassigned = {**mapping, va: vb}
+                        after = match_count(view_a, view_b, reassigned)
                         assert climb.reassign_gain(i, j) == after - before
+                        assert index.count(_ints(index, reassigned)) == after
                 for k in range(i + 1, len(vars_a)):
                     vk = vars_a[k]
                     if va in mapping or vk in mapping:
                         swapped = {x: y for x, y in mapping.items() if x not in (va, vk)}
                         swapped.update({x: mapping[y] for x, y in ((va, vk), (vk, va)) if y in mapping})
-                        after = metrics._match_count(view_a, view_b, swapped)
+                        after = match_count(view_a, view_b, swapped)
                         assert climb.swap_gain(i, k) == after - before
+                        assert index.count(_ints(index, swapped)) == after
             move = climb.best_move()
             if move is None:
                 break
@@ -192,10 +218,10 @@ class TestDeltaScoring:
         rng = random.Random(f"climb-oracle:{seed}")
         a, b = random_pair(rng, 10)
         view_a, view_b = _views(*(metrics._prepare(_with_loops(g, rng)) for g in (a, b)))
-        index = metrics._PairIndex(view_a, view_b)
-        bound = metrics._label_bound(view_a, view_b)
-        for start in (metrics._seeded_start(view_a, view_b), _random_mapping(view_a, view_b, rng)):
-            climb = metrics._Climb(index, start)
+        index = PairIndex(view_a.triples, view_b.triples)
+        bound = align._label_bound(index)
+        for start in (align._seeded_start(index), _ints(index, _random_mapping(view_a, view_b, rng))):
+            climb = align._Climb(index, start)
             # Every step must raise the count, which cannot pass the bound,
             # so a climb that takes more steps than that never ends.
             for _ in range(bound + 1):
@@ -205,10 +231,11 @@ class TestDeltaScoring:
                 assert move[0] > 0
                 climb.apply(*move)
             assert move is None, "the climb did not end"
-            mapping, score = metrics._hill_climb(index, start)
-            assert (mapping, score) == (climb.mapping(), climb.score)
-            assert score == metrics._match_count(view_a, view_b, mapping)
-            assert metrics._match_count(view_a, view_b, start) <= score <= bound
+            m, score = align._hill_climb(index, start)
+            assert (m, score) == (climb.m, climb.score)
+            mapping = _names(index, m)
+            assert score == match_count(view_a, view_b, mapping)
+            assert match_count(view_a, view_b, _names(index, start)) <= score <= bound
             assert len(set(mapping.values())) == len(mapping)
 
     # Hill climbing is not certain to find the optimum, so this property
@@ -230,36 +257,36 @@ class TestDeltaScoring:
 
 
 class TestEarlyStop:
-    """``_align`` stops once a climb reaches the label-bag bound, which no
+    """``align`` stops once a climb reaches the label-bag bound, which no
     mapping can exceed; the alignment must equal the one every restart gives."""
 
     def test_bound_stop_changes_nothing(self, corpus50, data_dir, monkeypatch):
         pred, gold = pair_by_id(read_corpus(data_dir / "corpus50_damaged.txt"), corpus50)
-        views = [
-            _views(transform_triples(metrics._prepare(p), m), transform_triples(metrics._prepare(g), m))
+        indexes = [
+            PairIndex(transform_triples(metrics._prepare(p), m), transform_triples(metrics._prepare(g), m))
             for p, g in zip(pred, gold) for m in METRIC_NAMES if m not in metrics._BAGS
         ]
         climbs = []
-        climb, bound_of = metrics._hill_climb, metrics._label_bound
+        climb, bound_of = align._hill_climb, align._label_bound
 
         def counted(*args):
             climbs[-1] += 1
             return climb(*args)
 
-        monkeypatch.setattr(metrics, "_hill_climb", counted)
+        monkeypatch.setattr(align, "_hill_climb", counted)
         stopped_early = []
         for restarts in range(1, 6):
             runs = {}
             for bound in (True, False):
                 # A bound no count equals turns the early stop off.
-                monkeypatch.setattr(metrics, "_label_bound", bound_of if bound else lambda *views: -1)
+                monkeypatch.setattr(align, "_label_bound", bound_of if bound else lambda index: -1)
                 alignments = []
-                for i, (va, vb) in enumerate(views):
+                for i, index in enumerate(indexes):
                     climbs.append(0)
-                    alignments.append(metrics._align(va, vb, restarts, i))
-                runs[bound] = alignments, climbs[-len(views):]
+                    alignments.append(align.align(index, restarts, i))
+                runs[bound] = alignments, climbs[-len(indexes):]
             assert runs[True][0] == runs[False][0]
-            assert runs[False][1] == [restarts] * len(views)
+            assert runs[False][1] == [restarts] * len(indexes)
             stopped_early.append(sum(n < restarts for n in runs[True][1]))
         # Of the 300 searches (50 pairs, 6 alignment metrics), those that
         # skip at least one restart.
