@@ -121,10 +121,6 @@ class ConversionReport:
     drops: tuple[DropEvent, ...] = ()
     flags: tuple[FlagEvent, ...] = ()
 
-    @property
-    def distribution_total(self) -> int:
-        return sum(n for _, _, n in self.role_distribution)
-
     def to_text(self) -> str:
         lines = [
             f"sentences_in\t{self.sentences_in}",

@@ -120,20 +120,6 @@ class SemGraph:
     def concept_of(self, var: str) -> str:
         return self.concepts[var]
 
-    def in_degree(self, var: str) -> int:
-        return sum(1 for _, _, t in self.edges if t == var)
-
-    def reentrant_variables(self) -> tuple[str, ...]:
-        """Variables with more than one incoming edge, in instance order."""
-        counts: dict[str, int] = defaultdict(int)
-        for _, _, t in self.edges:
-            counts[t] += 1
-        return tuple(v for v, _ in self.instances if counts[v] > 1)
-
-    def with_metadata(self, metadata: Mapping[str, str]) -> "SemGraph":
-        return SemGraph(self.root, self.instances, self.edges, self.attributes,
-                        tuple(metadata.items()))
-
 
 def _validate(g: SemGraph) -> None:
     if not g.instances:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -152,7 +153,7 @@ class TestScore:
 
     def test_document_id_mismatch_is_data_error(self, runner, data_dir, tmp_path, corpus50):
         shuffled = tmp_path / "renamed.txt"
-        renamed = [g.with_metadata({**g.metadata, "id": f"x-{i}"})
+        renamed = [dataclasses.replace(g, meta=tuple({**g.metadata, "id": f"x-{i}"}.items()))
                    for i, g in enumerate(corpus50)]
         write_corpus(renamed[:50], shuffled)
         result = runner.invoke(main, ["score", "--gold", str(data_dir / "corpus50.txt"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from test_codec import reentrant_variables
 from wiser.codec import canonical_serialize, corpus_text, parse_graph
 from wiser.convert import (
     ConversionConfig,
@@ -81,7 +82,7 @@ class TestConvertGraph:
             assert len(out.instances) == len(g.instances)
             assert len(out.edges) == len(g.edges)
             assert len(out.attributes) == len(g.attributes)
-            assert out.reentrant_variables() == g.reentrant_variables()
+            assert reentrant_variables(out) == reentrant_variables(g)
             assert [v for v, _ in out.instances] == [v for v, _ in g.instances]
 
     def test_unmapped_drop_policy_raises(self, fixture_mapping):
@@ -182,7 +183,7 @@ class TestConvertCorpus:
         assert report.sentences_out == len(out) == 47
         dropped = report.dropped_adhoc + report.dropped_excluded + report.dropped_unmapped
         assert report.sentences_out + dropped == report.sentences_in
-        assert report.distribution_total <= report.relabeled_edges
+        assert sum(n for _, _, n in report.role_distribution) <= report.relabeled_edges
 
     def test_distribution_matches_edge_diff(self, corpus50, fixture_catalog, wiser_config):
         kept, _ = trim_corpus(corpus50, fixture_catalog, wiser_config)
@@ -197,7 +198,7 @@ class TestConvertCorpus:
                         numbered_relabels += 1
                     else:
                         noncore_relabels += 1
-        assert report.distribution_total == numbered_relabels
+        assert sum(n for _, _, n in report.role_distribution) == numbered_relabels
         assert report.relabeled_edges == numbered_relabels + noncore_relabels
 
     def test_purity(self, corpus50, fixture_catalog, wiser_config):

@@ -483,7 +483,7 @@ class TestCorpusScoring:
             pair_by_id(corpus50[1:5], docs)
         with pytest.raises(ValueError, match="duplicate document ids in gold"):
             pair_by_id(docs, docs[:3] + docs[:1])
-        unnamed = [g.with_metadata({}) for g in docs]
+        unnamed = [dataclasses.replace(g, meta=()) for g in docs]
         assert pair_by_id(unnamed, docs) == (unnamed, list(docs))
 
     def test_unknown_metric(self, corpus50):
