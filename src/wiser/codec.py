@@ -1,9 +1,10 @@
 """PENMAN notation parser/serializer and the corpus file format.
 
-Corpus files are UTF-8 text. Documents are separated by blank lines; each
-document is a run of optional ``# ::key value`` metadata lines followed by
-one parenthesized PENMAN expression. Parsing and serialization are pure
-functions; round-trips preserve the graph's triples, not its whitespace.
+Corpus files are UTF-8 text; a leading byte-order mark is skipped.
+Documents are separated by blank lines; each document is a run of optional
+``# ::key value`` metadata lines followed by one parenthesized PENMAN
+expression. Parsing and serialization are pure functions; round-trips
+preserve the graph's triples, not its whitespace.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ INDENT = 4
 
 
 class ParseError(GraphError):
-    """Malformed PENMAN text, with a 1-based line/column position."""
+    """Malformed PENMAN text, with a 1-based line/column position.
+
+    ``message`` is the bare message; the string form appends the position.
+    """
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -139,7 +144,7 @@ class _Parser:
                 raise ParseError(f"role token {role_tok.text!r} must start with ':'",
                                  role_tok.line, role_tok.col)
             target = self._peek()
-            if target is None:
+            if target is None or target.text == ")":
                 raise ParseError("role without a target", role_tok.line, role_tok.col)
             if target.text == "(":
                 slot = len(self.links)
@@ -289,11 +294,13 @@ def _parse_block(block: list[str], first_line: int, index: int) -> SemGraph:
     try:
         return parse_graph("\n".join(block), first_line=first_line)
     except ParseError as exc:
-        raise ParseError(f"document {index + 1}: {exc.args[0]}", exc.line, exc.col) from None
+        raise ParseError(f"document {index + 1}: {exc.message}", exc.line, exc.col) from None
+    except GraphError as exc:  # a parsed graph that fails validation
+        raise GraphError(f"document {index + 1}: {exc}") from None
 
 
 def read_corpus(path) -> list[SemGraph]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return read_corpus_text(fh.read())
 
 

@@ -12,6 +12,7 @@ from wiser.codec import (
     ParseError,
     corpus_text,
     parse_graph,
+    read_corpus,
     read_corpus_text,
     serialize_graph,
 )
@@ -103,6 +104,8 @@ class TestParse:
         ("(c / cat actor (d / dog))", "must start with ':'"),
         ("(c / cat :actor dog)", "dangling variable reference"),
         ('(a / x :wiki "abc)', "unterminated string (line 1, column 14)"),
+        ("(a / x :ARG0 )", "role without a target (line 1, column 8)"),
+        ("(a / x :ARG0 ))", "role without a target (line 1, column 8)"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as exc:
@@ -270,6 +273,22 @@ class TestCorpusFormat:
     def test_error_names_document(self):
         with pytest.raises(ParseError, match="document 2"):
             read_corpus_text("(c / cat)\n\n(d / dog\n")
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"(c / cat)\n\n(d / dog\n",
+         "document 2: unbalanced parentheses: missing ')' (line 3, column 6)"),
+        (b"(c / cat)\n\n(a / x :ARG0 )\n", "document 2: role without a target (line 3, column 8)"),
+        # A byte-order mark before the first document is not part of it.
+        (b"\xef\xbb\xbf# ::id a\n(c / cat)\n\n(d / dog\n",
+         "document 2: unbalanced parentheses: missing ')' (line 4, column 6)"),
+        (b"(c / cat)\n\n(a / x :ARG0 (b / y) :ARG0 b)\n", "document 2: duplicate edge 'a' :ARG0 'b'"),
+    ])
+    def test_corpus_error_names_document_and_position_once(self, tmp_path, raw, message):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(raw)
+        with pytest.raises(GraphError) as exc:
+            read_corpus(path)
+        assert str(exc.value) == message
 
 
 def test_invert_role():
