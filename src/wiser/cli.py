@@ -10,6 +10,7 @@ stdout finish with a ``manifest`` line.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -95,11 +96,18 @@ class _Main(click.Group):
     """Reports a data failure raised by any command and exits 1.
 
     Graph, parse, rule, catalog and split errors all subclass ``ValueError``.
+    A reader that closes stdout early, as ``| head`` does, is not a failure:
+    the command exits 1 without a message.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            # Python flushes stdout again at exit; send that to devnull so it
+            # cannot fail too (see the note on SIGPIPE in the signal docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            ctx.exit(1)
         except (ValueError, OSError) as exc:
             err = click.ClickException(str(exc))
             err.exit_code = 1

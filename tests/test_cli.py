@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wiser
 from wiser.cli import main
 from wiser.codec import read_corpus, write_corpus
 from wiser.convert import ConversionConfig, trim_corpus
@@ -209,6 +214,28 @@ class TestScore:
                         "--metrics", ",".join(METRIC_NAMES), "--per-doc", "--exact")
         golden = data_dir / "golden" / "score_corpus50_damaged_exact_wiser.txt"
         assert result.output == golden.read_text(encoding="utf-8")
+
+    def test_closed_stdout_is_not_an_error(self, data_dir, tmp_path):
+        # Far more output than a pipe buffers, so the command is still
+        # writing when its reader goes away after one line.
+        text = (data_dir / "corpus50.txt").read_text(encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(text.replace("::id ", f"::id r{r}-") for r in range(40)),
+                          encoding="utf-8")
+        path = [str(Path(wiser.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wiser.cli", "score", "--gold", str(corpus), "--pred", str(corpus),
+             "--metrics", "concepts,negations,named_entity", "--per-doc"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        assert proc.stdout.readline().startswith("doc\t")
+        proc.stdout.close()
+        try:
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+        assert stderr == ""  # no "Error: [Errno 32] Broken pipe"
 
     def test_manifest_line_present_and_stable(self, runner, data_dir):
         gold = data_dir / "golden" / "corpus50_wiser.txt"
