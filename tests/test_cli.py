@@ -231,10 +231,10 @@ class TestScore:
         assert proc.stdout.readline().startswith("doc\t")
         proc.stdout.close()
         try:
-            stderr = proc.stderr.read()
-            assert proc.wait(timeout=60) == 1
+            _, stderr = proc.communicate(timeout=60)
         finally:
             proc.kill()
+        assert proc.returncode == 1
         assert stderr == ""  # no "Error: [Errno 32] Broken pipe"
 
     def test_manifest_line_present_and_stable(self, runner, data_dir):
